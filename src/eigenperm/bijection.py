@@ -6,13 +6,18 @@ pipeline encodes tau's interleaving into stars on the reduced sigma
 bit sequence (:func:`collapse_stars`), sorts factor tails to reach a
 321-avoiding permutation, and rearranges the LRmax factors of that
 permutation into a list of shorter class members with a moving window
-(:func:`window_forward`).  Composing the stages maps p of length n to a
+(:func:`marked_to_list`).  Composing the stages maps p of length n to a
 pair (rho, v) -- a shorter class member and a list of class members --
 carrying total size n-1, which is exactly the structure behind the
 left-shift-under-composition recurrence.
 
-Every stage has an explicit inverse here, and each is exercised round-trip
-by the test suite.
+There is one window map: on 321-avoiders the tail sort changes nothing,
+so :func:`window_forward` and :func:`window_inverse` are
+:func:`marked_to_list` and :func:`list_to_marked` behind a 321 check.
+Public functions validate their arguments once; the private cores behind
+them pass standard permutations and ascending mark tuples to each other
+without checking again.  Every stage has an explicit inverse here, and
+each is exercised round-trip by the test suite.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from typing import Iterable, Sequence
 from .perms import (
     InvalidInputError,
     Perm,
+    _checked_standard,
+    _fast_ok,
+    _lit,
+    _lrmax_factors,
+    _reduce,
     as_perm,
-    fast_35241ok,
-    is_avoider,
-    is_standard,
-    lit_entries,
     lrmax_factorize,
-    reduce_word,
 )
 
 __all__ = [
@@ -70,11 +75,11 @@ def split_at_max_ok(sigma: Iterable[int], tau: Iterable[int]) -> bool:
     n = len(s) + len(t) + 1
     if sorted(s + t) != list(range(1, n)):
         raise InvalidInputError("sigma and tau together must use the values 1..n-1")
-    if not fast_35241ok(reduce_word(s)) or not fast_35241ok(reduce_word(t)):
+    if not _fast_ok(s) or not _fast_ok(t):
         return False
     if t:
         floor = min(t)
-        lit = set(lit_entries(s))
+        lit = set(_lit(s))
         if any(v > floor and v not in lit for v in s):
             return False
     return True
@@ -95,15 +100,13 @@ class StarredPermutation:
     after_max: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_perm(self.base))
+        object.__setattr__(self, "base", _checked_standard(self.base))
         object.__setattr__(self, "before", tuple(self.before))
-        if self.base and not is_standard(self.base):
-            raise InvalidInputError(f"base must be standard, got {self.base!r}")
         if len(self.before) != len(self.base):
             raise InvalidInputError("one star count per position is required")
         if any(not isinstance(c, int) or c < 0 for c in self.before) or self.after_max < 0:
             raise InvalidInputError("star counts must be nonnegative integers")
-        lit = set(lit_entries(self.base))
+        lit = set(_lit(self.base))
         for cnt, v in zip(self.before, self.base):
             if cnt and v not in lit:
                 raise InvalidInputError(f"stars may only precede LIT entries, found {cnt} before {v}")
@@ -121,11 +124,9 @@ class MarkedPermutation:
     marks: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", as_perm(self.perm))
+        object.__setattr__(self, "perm", _checked_standard(self.perm))
         object.__setattr__(self, "marks", frozenset(self.marks))
-        if self.perm and not is_standard(self.perm):
-            raise InvalidInputError(f"a standard permutation is required, got {self.perm!r}")
-        allowed = set(lit_entries(self.perm)) - {len(self.perm)}
+        allowed = set(_lit(self.perm)) - {len(self.perm)}
         if not self.marks <= allowed:
             raise InvalidInputError(
                 f"marks {sorted(self.marks)} are not non-maximal LIT entries of {self.perm!r}"
@@ -150,25 +151,26 @@ def star_encode(p: Iterable[int]) -> tuple[Perm, StarredPermutation]:
     q = _checked_member(p)
     if not q:
         raise InvalidInputError("the empty permutation has no maximum to split at")
-    n = len(q)
-    pos = q.index(n)
+    rho, base, before, after = _star_encode(q)
+    return rho, StarredPermutation(base, before, after)
+
+
+def _star_encode(q: Perm) -> tuple[Perm, Perm, tuple[int, ...], int]:
+    # q: a nonempty class member.  Returns rho and the starred sigma as
+    # (base, before, after_max).
+    pos = q.index(len(q))
     sigma, tau = q[:pos], q[pos + 1:]
-    rho = reduce_word(tau)
-    base = reduce_word(sigma)
-    before = [0] * len(base)
+    sig_sorted = sorted(sigma)
+    pos_of = {v: i for i, v in enumerate(sigma)}
+    before = [0] * len(sigma)
     after = 0
-    if sigma:
-        sig_sorted = sorted(sigma)
-        pos_of = {v: i for i, v in enumerate(sigma)}
-        for c in tau:
-            i = bisect_right(sig_sorted, c)
-            if i == len(sig_sorted):
-                after += 1
-            else:
-                before[pos_of[sig_sorted[i]]] += 1
-    else:
-        after = len(tau)
-    return rho, StarredPermutation(base, tuple(before), after)
+    for c in tau:
+        i = bisect_right(sig_sorted, c)
+        if i == len(sig_sorted):
+            after += 1
+        else:
+            before[pos_of[sig_sorted[i]]] += 1
+    return _reduce(tau), _reduce(sigma), tuple(before), after
 
 
 def star_decode(rho: Iterable[int], starred: StarredPermutation) -> Perm:
@@ -178,37 +180,30 @@ def star_decode(rho: Iterable[int], starred: StarredPermutation) -> Perm:
     next free values for tau's support; rho is then transplanted onto that
     support and appended after the new maximum.
     """
-    r = as_perm(rho)
-    if r and not is_standard(r):
-        raise InvalidInputError(f"rho must be standard, got {r!r}")
-    if not fast_35241ok(r):
-        raise InvalidInputError("rho must itself be in the class")
-    base = starred.base
-    if not fast_35241ok(base):
+    r = _checked_member(rho)
+    if not _fast_ok(starred.base):
         raise InvalidInputError("the starred permutation must be in the class")
-    m = len(base)
-    k = starred.star_count + 1
-    if len(r) != k - 1:
-        raise InvalidInputError(f"rho must have length {k - 1} (one per star), got {len(r)}")
-    n = m + k
-    stars_at = [0] * (m + 2)
-    for cnt, v in zip(starred.before, base):
-        stars_at[v] = cnt
-    sigma_val = [0] * (m + 1)
+    if len(r) != starred.star_count:
+        raise InvalidInputError(
+            f"rho must have length {starred.star_count} (one per star), got {len(r)}"
+        )
+    return _star_decode(r, starred.base, starred.before)
+
+
+def _star_decode(r: Perm, base: Perm, before: Sequence[int]) -> Perm:
+    # r: a class member with one entry per star; base: a class member; the
+    # stars not counted in ``before`` follow the maximum.
+    n = len(base) + len(r) + 1
+    stars_at = dict(zip(base, before))
     support: list[int] = []
-    nxt = 1
-    for t in range(1, m + 1):
-        for _ in range(stars_at[t]):
-            support.append(nxt)
-            nxt += 1
-        sigma_val[t - 1] = nxt
-        nxt += 1
-    for _ in range(starred.after_max):
-        support.append(nxt)
-        nxt += 1
-    sigma = tuple(sigma_val[v - 1] for v in base)
+    sigma_val = {}
+    for t in range(1, len(base) + 1):
+        nxt = len(support) + t  # the values below it went to earlier stars and sigma entries
+        support.extend(range(nxt, nxt + stars_at[t]))
+        sigma_val[t] = nxt + stars_at[t]
+    support.extend(range(len(support) + len(base) + 1, n))
     tau = tuple(support[x - 1] for x in r)
-    return sigma + (n,) + tau
+    return tuple(sigma_val[v] for v in base) + (n,) + tau
 
 
 def collapse_stars(starred: StarredPermutation) -> tuple[MarkedPermutation, tuple[int, ...]]:
@@ -220,13 +215,21 @@ def collapse_stars(starred: StarredPermutation) -> tuple[MarkedPermutation, tupl
     itself, and a 0 for every deleted star.  Its length is the original
     star count plus one.
     """
-    base = starred.base
-    if not base:
+    if not starred.base:
         raise InvalidInputError("cannot collapse stars on an empty permutation")
+    marks, bits = _collapse_stars(starred.base, starred.before, starred.after_max)
+    return MarkedPermutation(starred.base, frozenset(marks)), bits
+
+
+def _collapse_stars(
+    base: Perm, before: Sequence[int], after_max: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # base: nonempty, stars only before LIT entries.  The marks come out
+    # ascending, because LIT entries increase from left to right.
     top = len(base)
     bits: list[int] = []
     marks: list[int] = []
-    for cnt, v in zip(starred.before, base):
+    for cnt, v in zip(before, base):
         if v == top:
             bits.extend([0] * cnt)
             bits.append(1)
@@ -234,8 +237,8 @@ def collapse_stars(starred: StarredPermutation) -> tuple[MarkedPermutation, tupl
             bits.extend([0] * (cnt - 1))
             bits.append(1)
             marks.append(v)
-    bits.extend([0] * starred.after_max)
-    return MarkedPermutation(base, frozenset(marks)), tuple(bits)
+    bits.extend([0] * after_max)
+    return tuple(marks), tuple(bits)
 
 
 def expand_stars(marked: MarkedPermutation, bits: Sequence[int]) -> StarredPermutation:
@@ -256,22 +259,27 @@ def expand_stars(marked: MarkedPermutation, bits: Sequence[int]) -> StarredPermu
         raise InvalidInputError(
             f"expected {len(marks) + 1} ones in the bit sequence, got {sum(bts)}"
         )
+    before, after = _expand_stars(p, marks, bts)
+    return StarredPermutation(p, before, after)
+
+
+def _expand_stars(
+    p: Perm, marks: Sequence[int], bits: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    # marks ascending; bits hold one 1 per mark plus one for the maximum.
+    # Returns (before, after_max) of the starred permutation on p.
     pos_of = {v: i for i, v in enumerate(p)}
-    targets = [pos_of[v] for v in marks] + [pos_of[len(p)]]
+    targets = iter([pos_of[v] for v in marks] + [pos_of[len(p)]])
     before = [0] * len(p)
     run = 0
-    idx = 0
-    for b in bts:
-        if b == 0:
-            run += 1
-        else:
-            if idx == len(targets) - 1:
-                before[targets[idx]] += run
-            else:
-                before[targets[idx]] += run + 1
+    for b in bits:
+        if b:
+            before[next(targets)] += run + 1
             run = 0
-            idx += 1
-    return StarredPermutation(p, tuple(before), run)
+        else:
+            run += 1
+    before[pos_of[len(p)]] -= 1  # the maximum's 1 is the entry itself, not a star
+    return tuple(before), run
 
 
 def sort_factor_tails(
@@ -287,11 +295,15 @@ def sort_factor_tails(
     (3, 1, 2, 4)
     """
     fac = lrmax_factorize(p)
+    return MarkedPermutation(_sort_tails(fac.factors), frozenset(marks)), fac.factors
+
+
+def _sort_tails(factors: Iterable[tuple[int, Perm]]) -> Perm:
     q: list[int] = []
-    for head, tail in fac.factors:
+    for head, tail in factors:
         q.append(head)
         q.extend(sorted(tail))
-    return MarkedPermutation(tuple(q), frozenset(marks)), fac.factors
+    return tuple(q)
 
 
 @dataclass(frozen=True)
@@ -323,6 +335,14 @@ def _lrmax_mask(p: Perm) -> list[bool]:
     return mask
 
 
+def _avoids_321(p: Perm) -> bool:
+    # A 321 occurrence needs two entries that are not left-to-right maxima
+    # in decreasing order, and any such pair completes one with an earlier
+    # maximum; so p avoids 321 iff its other entries increase.
+    rest = [v for v, is_max in zip(p, _lrmax_mask(p)) if not is_max]
+    return all(a < b for a, b in zip(rest, rest[1:]))
+
+
 def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     """Run the moving-window pass over a 321-avoiding marked permutation.
 
@@ -334,17 +354,21 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     out of the window.  Each step appends the new head (or None) to the
     association list.
     """
-    marked = MarkedPermutation(as_perm(q), frozenset(marks))
-    qq = marked.perm
-    if not qq:
+    marked = MarkedPermutation(q, frozenset(marks))
+    if not marked.perm:
         raise InvalidInputError("an empty permutation has no window plan")
-    if not is_avoider(qq, (3, 2, 1)):
-        raise InvalidInputError(f"a 321-avoiding permutation is required, got {qq!r}")
+    if not _avoids_321(marked.perm):
+        raise InvalidInputError(f"a 321-avoiding permutation is required, got {marked.perm!r}")
+    return _window_plan(marked.perm, tuple(sorted(marked.marks)))
+
+
+def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
+    # qq: a nonempty 321-avoiding permutation; marks: ascending.
     n = len(qq)
     pos_of = {v: i for i, v in enumerate(qq)}
-    lit = lit_entries(qq)
-    k = len(marked.marks) + 1
-    starts = sorted({pos_of[lit[0]]} | {pos_of[e + 1] for e in marked.marks})
+    lit = _lit(qq)
+    k = len(marks) + 1
+    starts = sorted({pos_of[lit[0]]} | {pos_of[e + 1] for e in marks})
     bounds = starts + [n]
     window: list[tuple[int, int]] = [(bounds[i], bounds[i + 1]) for i in range(k)]
     all_spans = list(window)
@@ -359,16 +383,8 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     free = bisect_left(lrpos, left)  # number of un-empaned LRmax positions
     assoc: list[int | None] = []
     while window:
-        m = 0
-        for span in window[:-1]:
-            pm = pane_m[span]
-            if pm > m:
-                m = pm
-        choice = -1
-        for x in lrpos[:free]:
-            if qq[x] > m:
-                choice = x
-                break
+        m = max((pane_m[span] for span in window[:-1]), default=0)
+        choice = next((x for x in lrpos[:free] if qq[x] > m), -1)
         if choice < 0:
             assoc.append(None)
         else:
@@ -410,29 +426,18 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     )
 
 
-def _assemble(plan: WindowPlan, q: Perm, source: Perm) -> tuple[Perm, ...]:
-    span_by_head = {q[a]: (a, b) for a, b in plan.pane_spans}
-    items = []
-    for row in plan.rows:
-        word: list[int] = []
-        for head in row:
-            a, b = span_by_head[head]
-            word.extend(source[a:b])
-        items.append(reduce_word(word))
-    return tuple(items)
-
-
 def window_forward(marked: MarkedPermutation) -> tuple[Perm, ...]:
     """Rearrange a 321-avoiding marked permutation into a (marks+1)-list.
 
-    Row r of the window plan names the panes whose concatenation, reduced,
-    becomes item r.
+    This is :func:`marked_to_list` on 321-avoiders, where the tail sort
+    changes nothing; other permutations are rejected.
 
     >>> window_forward(MarkedPermutation((1, 2, 3)))
     ((1, 2, 3),)
     """
-    plan = window_plan(marked.perm, marked.marks)
-    return _assemble(plan, marked.perm, marked.perm)
+    if not _avoids_321(marked.perm):
+        raise InvalidInputError(f"a 321-avoiding permutation is required, got {marked.perm!r}")
+    return marked_to_list(marked)
 
 
 def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
@@ -441,20 +446,69 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
     Factor tails are sorted to reach the 321-avoiding case, the window
     plan is computed there, and the original tails are restored inside
     each pane before reducing (boundaries are unchanged by the sort).
+    Row r of the window plan names the panes whose concatenation, reduced,
+    becomes item r.
     """
     p = marked.perm
-    if not fast_35241ok(p):
+    if not _fast_ok(p):
         raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {p!r}")
-    sorted_marked, _ = sort_factor_tails(p, marked.marks)
-    plan = window_plan(sorted_marked.perm, marked.marks)
-    return _assemble(plan, sorted_marked.perm, p)
+    if not p:
+        raise InvalidInputError("an empty permutation has no window plan")
+    return _to_list(p, tuple(sorted(marked.marks)))
 
 
-def _inverse_core(
-    items: Sequence[Perm],
-) -> tuple[list[list[int]], list[list[tuple[int, int]]], frozenset[int]]:
-    # items: nonempty standard permutations.  Assigns a global value to
-    # every position, grows panes per item, and reads off the marks.
+def _to_list(p: Perm, marks: tuple[int, ...]) -> tuple[Perm, ...]:
+    # p: a nonempty class member; marks: ascending.  Its tail-sorted form
+    # avoids 321 by construction, and each pane is read back from p.
+    q = _sort_tails(_lrmax_factors(p))
+    plan = _window_plan(q, marks)
+    span_by_head = {q[a]: (a, b) for a, b in plan.pane_spans}
+    items = []
+    for row in plan.rows:
+        word: list[int] = []
+        for head in row:
+            a, b = span_by_head[head]
+            word.extend(p[a:b])
+        items.append(_reduce(word))
+    return tuple(items)
+
+
+def _checked_items(items: Iterable[Iterable[int]]) -> tuple[Perm, ...]:
+    its = tuple(_checked_member(it) for it in items)
+    if not its:
+        raise InvalidInputError("the item list must be nonempty")
+    if not all(its):
+        raise InvalidInputError("every item must be nonempty")
+    return its
+
+
+def window_inverse(items: Iterable[Iterable[int]]) -> MarkedPermutation:
+    """Inverse of :func:`window_forward`: :func:`list_to_marked` on 321-avoiding items."""
+    its = _checked_items(items)
+    for it in its:
+        if not _avoids_321(it):
+            raise InvalidInputError(f"every item must be 321-avoiding, got {it!r}")
+    return MarkedPermutation(*_from_list(its))
+
+
+def list_to_marked(items: Iterable[Iterable[int]]) -> MarkedPermutation:
+    """Inverse of :func:`marked_to_list` on lists of class members.
+
+    The inverse window pass runs on the tail-sorted items.  LIT entries
+    take the top global values (last item first, right to left); the rest
+    are dealt out in descending order by visiting the items cyclically
+    leftwards, each visit filling the largest blank entry while it is
+    empaned or a left-to-right maximum, then adding a pane.  One pane
+    boundary per item (except the last visited structure) yields the
+    marks.  Each item's monotone local-to-global value map then carries
+    its original tails into the assembled permutation.
+    """
+    return MarkedPermutation(*_from_list(_checked_items(items)))
+
+
+def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
+    # items: nonempty class members.  Returns the permutation and its marks,
+    # ascending; list_to_marked describes the pass.
     k = len(items)
     n = sum(len(it) for it in items)
     values: list[list[int]] = [[0] * len(it) for it in items]
@@ -464,14 +518,15 @@ def _inverse_core(
     panes: list[list[tuple[int, int]]] = []
     blanks: list[list[int]] = []
     for it in items:
-        lits = set(lit_entries(it))
-        pos_of = {v: i for i, v in enumerate(it)}
+        q = _sort_tails(_lrmax_factors(it))
+        lits = set(_lit(q))
+        pos_of = {v: i for i, v in enumerate(q)}
         lp = [pos_of[v] for v in sorted(lits)]
         lit_pos.append(lp)
-        masks.append(_lrmax_mask(it))
+        masks.append(_lrmax_mask(q))
         covered.append(lp[0])
-        panes.append([(lp[0], len(it))])
-        blanks.append([pos_of[v] for v in sorted(set(it) - lits, reverse=True)])
+        panes.append([(lp[0], len(q))])
+        blanks.append([pos_of[v] for v in sorted(set(q) - lits, reverse=True)])
     val = n
     for i in range(k - 1, -1, -1):
         for pos in reversed(lit_pos[i]):
@@ -506,76 +561,15 @@ def _inverse_core(
             if stalled > k:
                 raise InvalidInputError("the inverse window pass stalled; invalid item list")
         cur = (cur - 1) % k
-    marks = frozenset(
-        max(values[i][x] for x in range(*panes[i][-1])) for i in range(k - 1)
-    )
-    return values, panes, marks
-
-
-def _checked_items(items: Iterable[Iterable[int]], avoiding: bool) -> tuple[Perm, ...]:
-    its = tuple(as_perm(it) for it in items)
-    if not its:
-        raise InvalidInputError("the item list must be nonempty")
-    for it in its:
-        if not it:
-            raise InvalidInputError("every item must be nonempty")
-        if not is_standard(it):
-            raise InvalidInputError(f"every item must be standard, got {it!r}")
-        if avoiding:
-            if not is_avoider(it, (3, 2, 1)):
-                raise InvalidInputError(f"every item must be 321-avoiding, got {it!r}")
-        elif not fast_35241ok(it):
-            raise InvalidInputError(f"every item must be 3(5)241-OK, got {it!r}")
-    return its
-
-
-def window_inverse(items: Iterable[Iterable[int]]) -> MarkedPermutation:
-    """Inverse of :func:`window_forward` on lists of 321-avoiding items.
-
-    LIT entries take the top global values (last item first, right to
-    left); the rest are dealt out in descending order by visiting the
-    items cyclically leftwards, each visit filling the largest blank entry
-    while it is empaned or a left-to-right maximum, then adding a pane.
-    One pane boundary per item (except the last visited structure) yields
-    the marks.
-    """
-    its = _checked_items(items, avoiding=True)
-    values, panes, marks = _inverse_core(its)
-    return _collect(its, values, panes, marks, identity_tails=True)
-
-
-def list_to_marked(items: Iterable[Iterable[int]]) -> MarkedPermutation:
-    """Inverse of :func:`marked_to_list` on lists of class members.
-
-    Runs the inverse window pass on the tail-sorted items, then lets each
-    item's monotone local-to-global value map carry its original tails
-    into the assembled permutation.
-    """
-    its = _checked_items(items, avoiding=False)
-    sorted_items = tuple(sort_factor_tails(it)[0].perm for it in its)
-    values, panes, marks = _inverse_core(sorted_items)
-    return _collect(its, values, panes, marks, identity_tails=False)
-
-
-def _collect(
-    items: tuple[Perm, ...],
-    values: list[list[int]],
-    panes: list[list[tuple[int, int]]],
-    marks: frozenset[int],
-    identity_tails: bool,
-) -> MarkedPermutation:
+    marks = sorted(max(values[i][x] for x in range(*panes[i][-1])) for i in range(k - 1))
     chunks: list[tuple[int, ...]] = []
-    for i, it in enumerate(items):
-        if identity_tails:
-            content = values[i]
-        else:
-            ascending = sorted(values[i])
-            content = [ascending[v - 1] for v in it]
-        for a, b in panes[i]:
+    for it, vals, spans in zip(items, values, panes):
+        ascending = sorted(vals)
+        content = [ascending[v - 1] for v in it]
+        for a, b in spans:
             chunks.append(tuple(content[a:b]))
     chunks.sort(key=lambda c: c[0])
-    perm = tuple(itertools.chain.from_iterable(chunks))
-    return MarkedPermutation(perm, marks)
+    return tuple(itertools.chain.from_iterable(chunks)), tuple(marks)
 
 
 def eigen_decompose(p: Iterable[int]) -> tuple[Perm, tuple[Perm, ...]]:
@@ -593,13 +587,11 @@ def eigen_decompose(p: Iterable[int]) -> tuple[Perm, tuple[Perm, ...]]:
     if not q:
         raise InvalidInputError("the empty permutation does not decompose")
     n = len(q)
-    pos = q.index(n)
-    sigma, tau = q[:pos], q[pos + 1:]
-    if not sigma:
-        return tau, ((),) * (n - pos)
-    rho, starred = star_encode(q)
-    marked, bits = collapse_stars(starred)
-    items = iter(marked_to_list(marked))
+    if q[0] == n:
+        return q[1:], ((),) * n
+    rho, base, before, after = _star_encode(q)
+    marks, bits = _collapse_stars(base, before, after)
+    items = iter(_to_list(base, marks))
     v = tuple(next(items) if b else () for b in bits)
     return rho, v
 
@@ -610,30 +602,24 @@ def eigen_compose(rho: Iterable[int], items: Iterable[Iterable[int]]) -> Perm:
     >>> eigen_compose((1, 2), ((), (), (1,)))
     (3, 4, 1, 2)
     """
-    r = as_perm(rho)
-    its = tuple(as_perm(it) for it in items)
+    r = _checked_member(rho)
+    its = tuple(_checked_member(it) for it in items)
     k = len(its)
     if k == 0:
         raise InvalidInputError("the item list must contain at least one slot")
     if len(r) != k - 1:
         raise InvalidInputError(f"rho must have length {k - 1}, got {len(r)}")
-    if r and not is_standard(r):
-        raise InvalidInputError(f"rho must be standard, got {r!r}")
-    if not fast_35241ok(r):
-        raise InvalidInputError("rho must be in the class")
     nonempty = tuple(it for it in its if it)
     if not nonempty:
         return (k,) + r
     bits = tuple(1 if it else 0 for it in its)
-    marked = list_to_marked(nonempty)
-    starred = expand_stars(marked, bits)
-    return star_decode(r, starred)
+    perm, marks = _from_list(nonempty)
+    before, _ = _expand_stars(perm, marks, bits)
+    return _star_decode(r, perm, before)
 
 
 def _checked_member(p: Iterable[int]) -> Perm:
-    q = as_perm(p)
-    if q and not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
-    if not fast_35241ok(q):
+    q = _checked_standard(p)
+    if not _fast_ok(q):
         raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {q!r}")
     return q

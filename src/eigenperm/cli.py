@@ -44,7 +44,7 @@ def _sequence_terms(name: str, n: int) -> list[int]:
     if name == "a":
         return list(recurrences.recurrence_tables(n).a[1:])
     if name == "catalan":
-        return recurrences.catalan_via_compositions(n, limit=max(16, n))[1:]
+        return recurrences.catalan_numbers(n)[1:]
     if name == "bell":
         return recurrences.bell_numbers(n)[1:]
     if name == "a051295":

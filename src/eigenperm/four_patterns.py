@@ -23,16 +23,15 @@ from .perms import (
     InvalidInputError,
     Perm,
     UnderlinedPattern,
+    _checked_standard,
     apply_pattern_symmetry,
-    as_perm,
     census,
     is_avoider,
-    is_standard,
     lrmax_factorize,
     parse_pattern,
     satisfies,
 )
-from .recurrences import bell_numbers
+from .recurrences import bell_numbers, catalan_numbers
 
 __all__ = [
     "ClassificationError",
@@ -104,7 +103,7 @@ def classify(max_n: int = 7, census_limit: int = 10) -> list[PatternClass]:
     """
     patterns = all_underlined4()
     refs = {
-        "catalan": tuple(math.comb(2 * i, i) // (i + 1) for i in range(max_n + 1)),
+        "catalan": tuple(catalan_numbers(max_n)),
         "bell": tuple(bell_numbers(max_n)),
         "a051295": tuple(a051295_terms(max_n)),
         "new4": tuple(new4_terms(max_n)),
@@ -232,9 +231,7 @@ def from_partition_decreasing(sp: SetPartition) -> Perm:
 def _monotone_factors(
     p: Iterable[int], ascending: bool, pattern: str
 ) -> tuple[tuple[int, Perm], ...]:
-    q = as_perm(p)
-    if not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
+    q = _checked_standard(p)
     factors = lrmax_factorize(q).factors
     for _, tail in factors:
         want = sorted(tail, reverse=not ascending)
@@ -341,9 +338,7 @@ def wilf_map(p: Iterable[int]) -> Perm:
     >>> wilf_map((3, 4, 1, 2))
     (3, 1, 2, 4)
     """
-    q = as_perm(p)
-    if not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
+    q = _checked_standard(p)
     if not satisfies(q, _PATTERN_1324):
         raise InvalidInputError(f"not (1)324-OK: {q!r}")
     minima: list[int] = []
@@ -373,9 +368,7 @@ def patience_ok(p: Iterable[int]) -> bool:
     >>> patience_ok((1, 3, 2))
     True
     """
-    q = as_perm(p)
-    if q and not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
+    q = _checked_standard(p)
     n = len(q)
     for j in range(n - 1):
         low = q[j + 1]

@@ -98,7 +98,11 @@ def reduce_word(word: Iterable[int]) -> Perm:
     >>> reduce_word(())
     ()
     """
-    p = as_perm(word)
+    return _reduce(as_perm(word))
+
+
+def _reduce(p: Sequence[int]) -> Perm:
+    # reduce_word without validation: p holds distinct positive ints.
     rank = {v: i for i, v in enumerate(sorted(p), start=1)}
     return tuple(rank[v] for v in p)
 
@@ -117,7 +121,11 @@ def lit_entries(word: Iterable[int]) -> Perm:
     >>> lit_entries(())
     ()
     """
-    p = as_perm(word)
+    return _lit(as_perm(word))
+
+
+def _lit(p: Sequence[int]) -> Perm:
+    # lit_entries without validation: p holds distinct positive ints.
     if not p:
         return ()
     support = sorted(p)
@@ -162,23 +170,29 @@ def lrmax_factorize(p: Iterable[int]) -> LRMaxFactorization:
     (5,)
     """
     p = as_perm(p)
-    factors: list[tuple[int, Perm]] = []
-    head: int | None = None
-    tail: list[int] = []
-    for v in p:
-        if head is None or v > head:
-            if head is not None:
-                factors.append((head, tuple(tail)))
-            head, tail = v, []
-        else:
-            tail.append(v)
-    if head is not None:
-        factors.append((head, tuple(tail)))
-    lit = lit_entries(p)
+    factors = _lrmax_factors(p)
+    lit = _lit(p)
     lit_start = len(factors) - len(lit)
     if tuple(h for h, _ in factors[lit_start:]) != lit:
         raise AssertionError("LIT entries are not a terminal segment of the heads")
     return LRMaxFactorization(tuple(factors), lit_start)
+
+
+def _lrmax_factors(p: Sequence[int]) -> list[tuple[int, Perm]]:
+    # lrmax_factorize's (head, tail) pairs without validation.
+    factors: list[tuple[int, Perm]] = []
+    head = 0
+    tail: list[int] = []
+    for v in p:
+        if v > head:
+            if head:
+                factors.append((head, tuple(tail)))
+            head, tail = v, []
+        else:
+            tail.append(v)
+    if head:
+        factors.append((head, tuple(tail)))
+    return factors
 
 
 def complement(p: Iterable[int]) -> Perm:
@@ -459,10 +473,7 @@ def satisfies(p: Iterable[int], up: UnderlinedPattern) -> bool:
     >>> satisfies((3, 5, 2, 4, 1), parse_pattern("3(5)241"))
     True
     """
-    q = as_perm(p)
-    if q and not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
-    return _satisfies(q, up)
+    return _satisfies(_checked_standard(p), up)
 
 
 def census(up: UnderlinedPattern, n: int, limit: int = 10) -> int:
@@ -500,30 +511,23 @@ def fast_35241ok(p: Iterable[int]) -> bool:
     >>> fast_35241ok((3, 5, 2, 4, 1))
     True
     """
-    q = as_perm(p)
-    if q and not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
-    return _fast_ok(q)
+    return _fast_ok(_checked_standard(p))
 
 
-def _fast_ok(p: Perm) -> bool:
+def _fast_ok(p: Sequence[int]) -> bool:
+    # An explicit stack of tails, so any nesting depth is fine.  The check
+    # only compares values, so tails need no reduction; words shorter than
+    # 4 are always in the class.
     if len(p) < 4:
         return True
-    tails: list[list[int]] = []
-    head = 0
-    for v in p:
-        if v > head:
-            head = v
-            tails.append([])
-        else:
-            tails[-1].append(v)
-    prev_max = 0
-    for tail in tails:
-        if tail:
-            if min(tail) < prev_max:
-                return False
-            prev_max = max(tail)
-    for tail in tails:
-        if len(tail) >= 4 and not _fast_ok(reduce_word(tail)):
-            return False
+    stack = [p]
+    while stack:
+        prev_max = 0
+        for _, tail in _lrmax_factors(stack.pop()):
+            if tail:
+                if min(tail) < prev_max:
+                    return False
+                prev_max = max(tail)
+                if len(tail) >= 4:
+                    stack.append(tail)
     return True

@@ -11,6 +11,7 @@ weight collapses the sum to the Catalan numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,6 +20,7 @@ from .perms import InvalidInputError, ResourceLimitError
 __all__ = [
     "RecurrenceTables",
     "bell_numbers",
+    "catalan_numbers",
     "catalan_via_compositions",
     "compositions",
     "counts_via_dominance",
@@ -207,3 +209,14 @@ def bell_numbers(n_max: int) -> list[int]:
         bells.append(nxt[0])
         row = nxt
     return bells[: n_max + 1]
+
+
+def catalan_numbers(n_max: int) -> list[int]:
+    """Catalan numbers C_0..C_{n_max} by the closed form binom(2n, n)/(n+1).
+
+    >>> catalan_numbers(5)
+    [1, 1, 2, 5, 14, 42]
+    """
+    if not isinstance(n_max, int) or n_max < 0:
+        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return [math.comb(2 * n, n) // (n + 1) for n in range(n_max + 1)]

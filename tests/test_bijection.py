@@ -26,6 +26,7 @@ from eigenperm import (
     window_inverse,
     window_plan,
 )
+from eigenperm.bijection import _avoids_321
 
 # Length-15 class member whose post-maximum part has support {9, 10, 12, 14}.
 P15 = (2, 8, 3, 1, 11, 4, 6, 5, 13, 7, 15, 9, 10, 14, 12)
@@ -231,6 +232,21 @@ def test_window_plan_rejects_non_avoider():
         window_plan((3, 2, 1), ())
 
 
+def test_window_maps_reject_non_avoiders():
+    # 321 is in the class, so only the 321 check tells these names apart
+    # from marked_to_list and list_to_marked.
+    with pytest.raises(InvalidInputError):
+        window_forward(MarkedPermutation((3, 2, 1)))
+    with pytest.raises(InvalidInputError):
+        window_inverse(((1,), (3, 2, 1)))
+
+
+def test_linear_321_check_matches_pattern_search():
+    for n in range(9):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert _avoids_321(p) == is_avoider(p, (3, 2, 1))
+
+
 def test_marked_to_list_requires_class_member():
     with pytest.raises(InvalidInputError):
         marked_to_list(MarkedPermutation((3, 2, 4, 1), frozenset()))
@@ -315,3 +331,5 @@ def test_eigen_validation():
         eigen_compose((3, 2, 4, 1, 5), ((), (), (), (), (), ()))
     with pytest.raises(InvalidInputError):
         eigen_compose((), ())
+    with pytest.raises(InvalidInputError):
+        eigen_compose((1,), ((3, 2, 4, 1), ()))  # a slot outside the class

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from eigenperm import parse_pattern, parse_perm_list
+from eigenperm import (
+    eigen_compose,
+    eigen_decompose,
+    fast_35241ok,
+    parse_pattern,
+    parse_perm_list,
+    recurrences,
+)
 from eigenperm.cli import main, run
 
 
@@ -31,6 +39,16 @@ def test_seq_variants(capsys):
     for name, line in expected.items():
         code, out, err = invoke(capsys, "seq", name, "--n", "5")
         assert (code, out, err) == (0, line + "\n", "")
+
+
+def test_seq_catalan_uses_the_closed_form(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("seq catalan enumerated compositions")
+
+    monkeypatch.setattr(recurrences, "compositions", refuse)
+    code, out, err = invoke(capsys, "seq", "catalan", "--n", "30")
+    assert (code, err) == (0, "")
+    assert out.split() == [str(math.comb(2 * i, i) // (i + 1)) for i in range(1, 31)]
 
 
 def test_seq_bfile_format(capsys):
@@ -154,3 +172,16 @@ def test_unknown_flag_exits_nonzero(capsys):
 def test_main_wraps_run(capsys):
     assert main(["seq", "eigen", "--n", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+
+def test_deep_nesting_needs_no_recursion(capsys):
+    # The decreasing permutation nests one LRmax factor inside the next,
+    # 2000 deep: far past the interpreter's recursion limit.
+    p = tuple(range(2000, 0, -1))
+    assert fast_35241ok(p)
+    rho, items = eigen_decompose(p)
+    assert eigen_compose(rho, items) == p
+    code, out, err = invoke(capsys, "eigen", "decompose", "--input", " ".join(map(str, p)))
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(map(str, p[1:])) + " ; ")
