@@ -64,7 +64,17 @@ def _emit_sequence(terms: list[int], bfile: bool, as_json: bool) -> None:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    _emit_sequence(_sequence_terms(args.name, args.n), args.bfile, args.json)
+    terms = _sequence_terms(args.name, args.n)
+    # Exact terms may pass the interpreter's int-to-str digit limit
+    # (Python 3.11+ and late 3.10 releases); lift it only while writing.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit_sequence(terms, args.bfile, args.json)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
     return 0
 
 

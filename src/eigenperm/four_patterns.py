@@ -100,7 +100,13 @@ def classify(max_n: int = 7, census_limit: int = 10) -> list[PatternClass]:
     sequences; an orbit is trivial when its counts equal the brute-force
     avoider counts of its representative's base 3-pattern.  Disagreements
     within an orbit, or an unmatched orbit, raise ClassificationError.
+    The references agree through n = 4 (bell, a051295 and new4 all read
+    1, 1, 2, 5, 15), so ``max_n`` below 5 raises InvalidInputError.
     """
+    if not isinstance(max_n, int) or max_n < 5:
+        raise InvalidInputError(
+            f"max_n must be at least 5, where the reference sequences differ; got {max_n!r}"
+        )
     patterns = all_underlined4()
     refs = {
         "catalan": tuple(catalan_numbers(max_n)),
@@ -249,8 +255,10 @@ def a051295_terms(n_max: int) -> list[int]:
     if not isinstance(n_max, int) or n_max < 0:
         raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
     u = [1]
+    fact = [1]  # 0!, 1!, ..., (n-1)!
     for n in range(1, n_max + 1):
-        u.append(sum(u[k - 1] * math.factorial(n - k) for k in range(1, n + 1)))
+        u.append(sum(uk * f for uk, f in zip(u, reversed(fact))))
+        fact.append(fact[-1] * n)
     return u
 
 
@@ -285,20 +293,6 @@ def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _falling(x: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= x - t
-    return out
-
-
-def _rising(x: int, i: int) -> int:
-    out = 1
-    for t in range(i):
-        out *= x + t
-    return out
-
-
 def new4_terms(n_max: int) -> list[int]:
     """Counting sequence of the ``321(4)`` class: 1, 1, 2, 5, 15, 55, 248, ...
 
@@ -314,12 +308,17 @@ def new4_terms(n_max: int) -> list[int]:
     for n in range(1, n_max + 1):
         total = math.factorial(n - 1)
         for k in range(n - 1):
+            # rising_sums[t] = sum of rising(n-2-k, j) over j <= t
+            rising_sums = []
+            acc, rising = 0, 1
+            for j in range(k + 1):
+                acc += rising
+                rising_sums.append(acc)
+                rising *= n - 2 - k + j
+            falling = 1
             for i in range(k + 1):
-                fk = _falling(k, i)
-                if not fk:
-                    continue
-                for j in range(k - i + 1):
-                    total += fk * _rising(n - 2 - k, j)
+                total += falling * rising_sums[k - i]
+                falling *= k - i
         out.append(total)
     return out
 

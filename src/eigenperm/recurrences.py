@@ -72,15 +72,8 @@ def recurrence_tables(n_max: int) -> RecurrenceTables:
             prev = rows[n - 2]
             c.append(sum(i * prev[i - 1] for i in range(1, n)))
         a.append(sum(a[i] * c[n - i - 1] for i in range(n)))
-        row = []
-        for k in range(1, n):
-            total = 0
-            for i in range(k):
-                m = n - 1 - i
-                j0 = k - i
-                if 1 <= j0 <= m:
-                    total += a[i] * suffix[m - 1][j0]
-            row.append(total)
+        # suffix[m-1][j] sums a_{m,j..m}; here m = n-1-i and 1 <= k-i <= m.
+        row = [sum(a[i] * suffix[n - 2 - i][k - i] for i in range(k)) for k in range(1, n)]
         row.append(a[n - 1])
         rows.append(tuple(row))
         suf = [0] * (n + 2)
@@ -99,18 +92,14 @@ def compositions(n: int) -> list[tuple[int, ...]]:
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"n must be a positive integer, got {n!r}")
     out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(remaining: int) -> None:
+    # Depth first; parts are pushed ascending so the largest pops first.
+    stack: list[tuple[tuple[int, ...], int]] = [((), n)]
+    while stack:
+        prefix, remaining = stack.pop()
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(remaining, 0, -1):
-            acc.append(part)
-            rec(remaining - part)
-            acc.pop()
-
-    rec(n)
+            out.append(prefix)
+        else:
+            stack.extend((prefix + (part,), remaining - part) for part in range(1, remaining + 1))
     return out
 
 

@@ -7,7 +7,7 @@ Series here have zero constant term: ``coeffs[i]`` is the coefficient of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import InvalidInputError
 
@@ -41,16 +41,22 @@ class PowerSeries:
         return cls((1,) + (0,) * (order - 1))
 
 
-def _mul(u: Sequence[int], v: Sequence[int], order: int) -> list[int]:
-    # Truncated product; index i holds the coefficient of x^(i+1).
-    out = [0] * order
-    for i, ui in enumerate(u):
-        if ui:
-            for j in range(order - i - 1):
-                vj = v[j]
-                if vj:
-                    out[i + j + 1] += ui * vj
-    return out
+def _power_columns(b: Sequence[int]) -> Iterator[list[int]]:
+    """Yield the columns m = 1, 2, ... of the power table of B = sum b_i x^i.
+
+    Entry k-1 of column m is [x^m] B^k for k = 1..m, by
+    [x^m] B^k = sum_j b_j [x^(m-j)] B^(k-1).  Column m reads only
+    b_1..b_m, so a caller may append b_(m+1) to ``b`` before asking for
+    the next column; the columns run out when ``b`` does.
+    """
+    cols: list[list[int]] = []
+    while len(cols) < len(b):
+        m = len(cols) + 1
+        col = [b[m - 1]]
+        for k in range(2, m + 1):
+            col.append(sum(bj * c[k - 2] for bj, c in zip(b[: m - k + 1], reversed(cols))))
+        cols.append(col)
+        yield col
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -64,21 +70,10 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         raise InvalidInputError(
             f"truncation orders differ: {outer.order} != {inner.order}"
         )
-    n = outer.order
     a = outer.coeffs
-    b = list(inner.coeffs)
-    out = [0] * n
-    power = b[:]
-    for k in range(1, n + 1):
-        ak = a[k - 1]
-        if ak:
-            for i in range(n):
-                ci = power[i]
-                if ci:
-                    out[i] += ak * ci
-        if k < n:
-            power = _mul(power, b, n)
-    return PowerSeries(tuple(out))
+    return PowerSeries(
+        tuple(sum(ak * p for ak, p in zip(a, col)) for col in _power_columns(inner.coeffs))
+    )
 
 
 def eigensequence(order: int) -> list[int]:
@@ -91,9 +86,9 @@ def eigensequence(order: int) -> list[int]:
     if not isinstance(order, int) or order < 1:
         raise InvalidInputError(f"order must be a positive integer, got {order!r}")
     b = [1]
-    for n in range(1, order):
-        prefix = PowerSeries(tuple(b))
-        b.append(compose(prefix, prefix).coeffs[n - 1])
+    columns = _power_columns(b)
+    while len(b) < order:
+        b.append(sum(bk * p for bk, p in zip(b, next(columns))))
     return b
 
 

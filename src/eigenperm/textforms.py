@@ -36,7 +36,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(p: Iterable[int]) -> str:
-    return " ".join(str(v) for v in as_perm(p))
+    return " ".join(str(v) for v in p)
 
 
 def parse_marked(text: str) -> MarkedPermutation:

@@ -86,7 +86,7 @@ def verify_bijection(max_n: int) -> list[CheckResult]:
 
 def verify_fourpatterns(max_n: int) -> list[CheckResult]:
     out = []
-    bound = min(max_n, 7)
+    bound = max(5, min(max_n, 7))
     try:
         classes = four_patterns.classify(max_n=bound)
     except four_patterns.ClassificationError as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -65,6 +66,25 @@ def test_seq_json_records(capsys):
     ]
 
 
+def test_seq_prints_terms_past_the_int_digit_limit(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    code, bfile, err = invoke(capsys, "seq", "bell", "--n", "2000", "--bfile")
+    assert (code, err) == (0, "")
+    code, records, err = invoke(capsys, "seq", "bell", "--n", "2000", "--json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == saved
+    last = recurrences.bell_numbers(2000)[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(last)) > saved
+        assert bfile.splitlines()[-1] == f"2000 {last}"
+        assert json.loads(records)[-1] == {"n": 2000, "value": last}
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_seq_rejects_bad_n(capsys):
     code, out, err = invoke(capsys, "seq", "eigen", "--n", "0")
     assert code == 2 and out == "" and "invalid input" in err
@@ -118,9 +138,18 @@ def test_classify4_json_round_trips(capsys):
 
 
 def test_classify4_table(capsys):
-    code, out, err = invoke(capsys, "classify4", "--max-n", "4")
+    code, out, err = invoke(capsys, "classify4", "--max-n", "5")
     assert code == 0
     assert "16 orbits" in out and "64 trivial" in out
+
+
+def test_classify4_refuses_depths_where_references_agree(capsys):
+    # bell, a051295 and new4 all read 1, 1, 2, 5, 15 through n = 4.
+    code, out, err = invoke(capsys, "classify4", "--max-n", "4")
+    assert code == 2 and out == "" and "invalid input" in err
+    code, out, err = invoke(capsys, "verify", "--suite", "fourpatterns", "--max-n", "4")
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
 
 
 def test_biject_round_trip(capsys):

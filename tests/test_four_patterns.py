@@ -170,8 +170,8 @@ def test_partition_readers_reject_wrong_monotonicity():
 
 def test_a051295_terms():
     assert a051295_terms(8) == [1, 1, 2, 5, 15, 54, 235, 1237, 7790]
-    terms = a051295_terms(12)
-    for n in range(1, 13):
+    terms = a051295_terms(300)
+    for n in range(1, 301):
         assert terms[n] == sum(
             terms[k - 1] * math.factorial(n - k) for k in range(1, n + 1)
         )
@@ -199,6 +199,16 @@ def test_new4_terms():
     assert new4_terms(10) == [
         1, 1, 2, 5, 15, 55, 248, 1357, 8809, 66323, 568238,
     ]
+    # The docstring's formula: (n-1)! plus falling(k, i) * rising(n-2-k, j)
+    # over k = 0..n-2 and i + j <= k.
+    terms = new4_terms(60)
+    for n in range(1, 61):
+        assert terms[n] == math.factorial(n - 1) + sum(
+            math.prod(range(k - i + 1, k + 1)) * math.prod(range(n - 2 - k, n - 2 - k + j))
+            for k in range(n - 1)
+            for i in range(k + 1)
+            for j in range(k - i + 1)
+        )
     with pytest.raises(InvalidInputError):
         new4_terms(-2)
 

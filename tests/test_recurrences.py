@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -41,6 +42,7 @@ def test_tables_internal_consistency():
 def test_tables_match_eigensequence():
     t = recurrence_tables(20)
     assert list(t.a) == eigensequence(21)[:21]
+    assert list(recurrence_tables(119).a) == eigensequence(120)
 
 
 def test_tables_validation():
@@ -70,6 +72,16 @@ def test_compositions_enumeration():
         assert all(sum(c) == n and min(c) >= 1 for c in comps)
     with pytest.raises(InvalidInputError):
         compositions(0)
+
+
+def test_compositions_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        compositions(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def brute_dominance(comp):

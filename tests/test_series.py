@@ -30,6 +30,22 @@ def test_compose_known_values():
     assert compose(geom, geom).coeffs == (1, 2, 4, 8, 16, 32)
 
 
+@given(coeff_lists, coeff_lists)
+def test_compose_matches_naive_expansion(a, b):
+    # outer(inner) = sum_k a_k inner^k, powers by schoolbook multiplication
+    order = min(len(a), len(b))
+    inner = [0] + b[:order]  # index i holds [x^i]
+    expected = [0] * (order + 1)
+    power = [1] + [0] * order
+    for ak in a[:order]:
+        power = [
+            sum(power[j] * inner[i - j] for j in range(i + 1)) for i in range(order + 1)
+        ]
+        expected = [e + ak * c for e, c in zip(expected, power)]
+    outer = PowerSeries(tuple(a[:order]))
+    assert compose(outer, PowerSeries(tuple(b[:order]))).coeffs == tuple(expected[1:])
+
+
 def test_compose_requires_matching_order():
     with pytest.raises(InvalidInputError):
         compose(PowerSeries((1, 1)), PowerSeries((1, 1, 1)))
@@ -69,3 +85,4 @@ def test_verify_shift():
     broken[6] += 1
     assert not verify_shift(broken, 10)
     assert verify_shift(eigensequence(25), 25)
+    assert verify_shift(eigensequence(120), 120)
