@@ -35,23 +35,28 @@ __all__ = ["main", "run"]
 _FAST_PATTERN = parse_pattern("3(5)241")
 
 
+# name -> (its first n terms, the largest n accepted).  The routes cost
+# O(n^2)-O(n^3) big-integer operations on operands that grow with n; at its
+# ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs).  Routes
+# are looked up at call time, so a patched or traced attribute is the one run.
+_SEQUENCES = {
+    "eigen": (lambda n: series.eigensequence(n), 400),
+    "a": (lambda n: list(recurrences.recurrence_tables(n).a[1:]), 400),
+    "catalan": (lambda n: recurrences.catalan_numbers(n)[1:], 5000),
+    "bell": (lambda n: recurrences.bell_numbers(n)[1:], 4000),
+    "a051295": (lambda n: four_patterns.a051295_terms(n)[1:], 1000),
+    "new4": (lambda n: four_patterns.new4_terms(n)[1:], 300),
+}
+
+
 def _sequence_terms(name: str, n: int) -> list[int]:
     """First ``n`` terms, where term ``i`` counts length-``i`` objects."""
     if n < 1:
         raise InvalidInputError("--n must be at least 1")
-    if name == "eigen":
-        return list(series.eigensequence(n))
-    if name == "a":
-        return list(recurrences.recurrence_tables(n).a[1:])
-    if name == "catalan":
-        return recurrences.catalan_numbers(n)[1:]
-    if name == "bell":
-        return recurrences.bell_numbers(n)[1:]
-    if name == "a051295":
-        return four_patterns.a051295_terms(n)[1:]
-    if name == "new4":
-        return four_patterns.new4_terms(n)[1:]
-    raise InvalidInputError(f"unknown sequence {name!r}")
+    terms, ceiling = _SEQUENCES[name]
+    if n > ceiling:
+        raise ResourceLimitError(f"seq {name} at n={n} exceeds the limit {ceiling}")
+    return terms(n)
 
 
 def _emit_sequence(terms: list[int], bfile: bool, as_json: bool) -> None:
@@ -164,9 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_seq = sub.add_parser("seq", help="print a counting sequence")
-    p_seq.add_argument(
-        "name", choices=("eigen", "a", "catalan", "bell", "a051295", "new4")
-    )
+    p_seq.add_argument("name", choices=tuple(_SEQUENCES))
     p_seq.add_argument("--n", type=int, required=True, help="number of terms")
     p_seq.add_argument("--bfile", action="store_true", help="one 'n value' per line")
     p_seq.add_argument("--json", action="store_true", help="JSON records")

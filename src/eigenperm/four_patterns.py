@@ -3,12 +3,13 @@
 Complement, reverse and inverse act on marked patterns and preserve the
 satisfying sets up to the same action on permutations, so patterns fall
 into orbits with a common counting sequence.  Empirically (and provably)
-each orbit counts one of: the Catalan numbers (the base 3-pattern's
-avoiders -- the mark adds nothing), the Bell numbers, the factorial
-convolution sequence 1, 1, 2, 5, 15, 54, 235, ... (OEIS A051295), or the
-sequence 1, 1, 2, 5, 15, 55, 248, 1357, ... first produced by this
-classification.  This module computes the orbits and labels, plus the
-explicit bijections and formulas behind the non-Catalan classes.
+each orbit counts one of: the Catalan numbers (trivial: every 3-letter
+base has C_n avoiders, Simion-Schmidt 1985, so the mark adds nothing),
+the Bell numbers, the factorial convolution sequence 1, 1, 2, 5, 15, 54,
+235, ... (OEIS A051295), or the sequence 1, 1, 2, 5, 15, 55, 248, 1357,
+... first produced by this classification.  This module computes the
+orbits and labels, plus the explicit bijections and formulas behind the
+non-Catalan classes.
 """
 
 from __future__ import annotations
@@ -19,19 +20,21 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import (
+    CENSUS_LIMIT,
     GENERATORS,
     InvalidInputError,
     Perm,
+    ResourceLimitError,
     UnderlinedPattern,
     _checked_standard,
+    _lrmax_factors,
+    _satisfies,
     apply_pattern_symmetry,
     census,
-    is_avoider,
-    lrmax_factorize,
     parse_pattern,
-    satisfies,
 )
 from .recurrences import bell_numbers, catalan_numbers
+from .series import _power_columns
 
 __all__ = [
     "ClassificationError",
@@ -61,7 +64,7 @@ class ClassificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PatternClass:
-    """One symmetry orbit of marked 4-patterns with its counting label."""
+    """One symmetry orbit of marked 4-patterns; trivial when labelled Catalan."""
 
     representative: UnderlinedPattern
     members: tuple[UnderlinedPattern, ...]
@@ -93,20 +96,24 @@ def pattern_orbit(up: UnderlinedPattern) -> frozenset[UnderlinedPattern]:
     return frozenset(seen)
 
 
-def classify(max_n: int = 7, census_limit: int = 10) -> list[PatternClass]:
+def classify(max_n: int = 7) -> list[PatternClass]:
     """Partition the 96 patterns into orbits and label each by its counts.
 
     Counts for n = 0..max_n are matched against the four reference
-    sequences; an orbit is trivial when its counts equal the brute-force
-    avoider counts of its representative's base 3-pattern.  Disagreements
-    within an orbit, or an unmatched orbit, raise ClassificationError.
-    The references agree through n = 4 (bell, a051295 and new4 all read
-    1, 1, 2, 5, 15), so ``max_n`` below 5 raises InvalidInputError.
+    sequences; an orbit is trivial when it is labelled Catalan, as every
+    3-letter base has C_n avoiders (Simion-Schmidt).  Disagreements within
+    an orbit, or an unmatched orbit, raise ClassificationError.  The
+    references agree through n = 4 (bell, a051295 and new4 all read
+    1, 1, 2, 5, 15), so ``max_n`` below 5 raises InvalidInputError;
+    ``max_n`` past the census limit raises ResourceLimitError before any
+    census runs.
     """
     if not isinstance(max_n, int) or max_n < 5:
         raise InvalidInputError(
             f"max_n must be at least 5, where the reference sequences differ; got {max_n!r}"
         )
+    if max_n > CENSUS_LIMIT:
+        raise ResourceLimitError(f"census at n={max_n} exceeds the limit {CENSUS_LIMIT}")
     patterns = all_underlined4()
     refs = {
         "catalan": tuple(catalan_numbers(max_n)),
@@ -114,21 +121,7 @@ def classify(max_n: int = 7, census_limit: int = 10) -> list[PatternClass]:
         "a051295": tuple(a051295_terms(max_n)),
         "new4": tuple(new4_terms(max_n)),
     }
-    counts = {
-        up: tuple(census(up, i, limit=census_limit) for i in range(max_n + 1))
-        for up in patterns
-    }
-    base_counts: dict[Perm, tuple[int, ...]] = {}
-    for up in patterns:
-        if up.base not in base_counts:
-            base_counts[up.base] = tuple(
-                sum(
-                    1
-                    for p in itertools.permutations(range(1, i + 1))
-                    if is_avoider(p, up.base)
-                )
-                for i in range(max_n + 1)
-            )
+    counts = {up: tuple(census(up, i) for i in range(max_n + 1)) for up in patterns}
     classes = []
     assigned: set[UnderlinedPattern] = set()
     for up in patterns:
@@ -147,12 +140,7 @@ def classify(max_n: int = 7, census_limit: int = 10) -> list[PatternClass]:
         label = next((name for name, ref in refs.items() if ref == cnt), None)
         if label is None:
             raise ClassificationError(f"orbit of {rep} matches no reference: {cnt}")
-        trivial = all(cnt == base_counts[member.base] for member in members)
-        if trivial != (label == "catalan"):
-            raise ClassificationError(
-                f"orbit of {rep}: triviality and label disagree ({label}, trivial={trivial})"
-            )
-        classes.append(PatternClass(rep, members, label, trivial, cnt))
+        classes.append(PatternClass(rep, members, label, label == "catalan", cnt))
     classes.sort(key=lambda c: (c.trivial, LABELS.index(c.label), c.representative.full, c.representative.mark))
     return classes
 
@@ -236,9 +224,8 @@ def from_partition_decreasing(sp: SetPartition) -> Perm:
 
 def _monotone_factors(
     p: Iterable[int], ascending: bool, pattern: str
-) -> tuple[tuple[int, Perm], ...]:
-    q = _checked_standard(p)
-    factors = lrmax_factorize(q).factors
+) -> list[tuple[int, Perm]]:
+    factors = _lrmax_factors(_checked_standard(p))
     for _, tail in factors:
         want = sorted(tail, reverse=not ascending)
         if list(tail) != want:
@@ -268,29 +255,16 @@ def count_1342ok_by_position(n: int, k: int) -> int:
     Such a permutation is a decreasing prefix a_1 > ... > a_{k-1}, the
     entry 1, and k arbitrary blocks on the complementary intervals, so the
     count is the sum over weak compositions s of n-k into k parts of
-    prod s_i!.
+    prod s_i!, that is [x^(n-k)] (sum_m m! x^m)^k = [x^n] B^k for
+    B = sum_i (i-1)! x^i: entry k-1 of column n of B's power table.
 
     >>> count_1342ok_by_position(3, 2)
     2
     """
     if not isinstance(n, int) or not isinstance(k, int) or n < 1 or not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
-    total = 0
-    for s in _weak_compositions(n - k, k):
-        term = 1
-        for part in s:
-            term *= math.factorial(part)
-        total += term
-    return total
-
-
-def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    *_, column = _power_columns([math.factorial(i) for i in range(n)])
+    return column[k - 1]
 
 
 def new4_terms(n_max: int) -> list[int]:
@@ -338,7 +312,7 @@ def wilf_map(p: Iterable[int]) -> Perm:
     (3, 1, 2, 4)
     """
     q = _checked_standard(p)
-    if not satisfies(q, _PATTERN_1324):
+    if not _satisfies(q, _PATTERN_1324):
         raise InvalidInputError(f"not (1)324-OK: {q!r}")
     minima: list[int] = []
     tails: list[list[int]] = []

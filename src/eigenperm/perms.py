@@ -55,6 +55,9 @@ Perm = tuple[int, ...]
 
 GENERATORS = ("complement", "reverse", "inverse")
 
+# The largest n that census enumerates by default: 10! permutations.
+CENSUS_LIMIT = 10
+
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
@@ -276,7 +279,7 @@ class UnderlinedPattern:
     def base(self) -> Perm:
         """The pattern with the marked letter deleted, reduced."""
         rest = self.full[: self.mark - 1] + self.full[self.mark:]
-        return reduce_word(rest)
+        return _reduce(rest)
 
     @cached_property
     def _extension(self) -> tuple[int, int, int]:
@@ -476,7 +479,7 @@ def satisfies(p: Iterable[int], up: UnderlinedPattern) -> bool:
     return _satisfies(_checked_standard(p), up)
 
 
-def census(up: UnderlinedPattern, n: int, limit: int = 10) -> int:
+def census(up: UnderlinedPattern, n: int, limit: int = CENSUS_LIMIT) -> int:
     """Number of standard permutations of [n] satisfying ``up``.
 
     Brute force over all n! permutations; refuses to run past ``limit``.

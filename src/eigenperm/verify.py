@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import bijection, four_patterns, perms, recurrences, series
 
@@ -23,12 +24,18 @@ class CheckResult:
     detail: str
 
 
-def _ok_perms(n: int) -> list[perms.Perm]:
-    return [
-        p
-        for p in itertools.permutations(range(1, n + 1))
-        if perms.fast_35241ok(p)
-    ]
+def _ok_perms(bound: int) -> Iterator[perms.Perm]:
+    """The 3(5)241-OK permutations of lengths 1..bound, shortest first."""
+    for n in range(1, bound + 1):
+        for p in itertools.permutations(range(1, n + 1)):
+            if perms._fast_ok(p):
+                yield p
+
+
+def _first_failure(name: str, scope: str, failures: Iterator[str]) -> CheckResult:
+    """Pass with ``scope`` as detail, or fail with the first of the lazy ``failures``."""
+    detail = next(failures, None)
+    return CheckResult(name, detail is None, scope if detail is None else detail)
 
 
 def verify_recurrences(max_n: int) -> list[CheckResult]:
@@ -52,36 +59,40 @@ def verify_recurrences(max_n: int) -> list[CheckResult]:
     return out
 
 
+def _eigen_failures(bound: int) -> Iterator[str]:
+    for p in _ok_perms(bound):
+        if bijection.eigen_compose(*bijection.eigen_decompose(p)) != p:
+            yield f"failed at {p}"
+
+
+def _marked_failures(bound: int) -> Iterator[str]:
+    for p in _ok_perms(bound):
+        lit = sorted(set(perms.lit_entries(p)) - {len(p)})
+        for r in range(len(lit) + 1):
+            for marks in itertools.combinations(lit, r):
+                mp = bijection.MarkedPermutation(p, frozenset(marks))
+                if bijection.list_to_marked(bijection.marked_to_list(mp)) != mp:
+                    yield f"failed at {p} marks {marks}"
+
+
 def verify_bijection(max_n: int) -> list[CheckResult]:
-    out = []
-    bound = min(max_n, 8)
-    ok = True
-    detail = f"n <= {bound}"
+    eigen_n, marked_n = min(max_n, 8), min(max_n, 7)
+    return [
+        _first_failure("eigen decompose/compose round trip", f"n <= {eigen_n}", _eigen_failures(eigen_n)),
+        _first_failure("marked list round trip", f"n <= {marked_n}", _marked_failures(marked_n)),
+    ]
+
+
+def _partition_failures(bound: int) -> Iterator[str]:
+    bell = recurrences.bell_numbers(bound)
+    pattern = perms.parse_pattern("32(4)1")
     for n in range(1, bound + 1):
-        for p in _ok_perms(n):
-            rho, v = bijection.eigen_decompose(p)
-            if bijection.eigen_compose(rho, v) != p:
-                ok = False
-                detail = f"failed at {p}"
-                break
-        if not ok:
-            break
-    out.append(CheckResult("eigen decompose/compose round trip", ok, detail))
-    bound = min(max_n, 7)
-    ok = True
-    detail = f"n <= {bound}"
-    for n in range(1, bound + 1):
-        for p in _ok_perms(n):
-            lit = sorted(set(perms.lit_entries(p)) - {n})
-            for r in range(len(lit) + 1):
-                for marks in itertools.combinations(lit, r):
-                    mp = bijection.MarkedPermutation(p, frozenset(marks))
-                    if bijection.list_to_marked(bijection.marked_to_list(mp)) != mp:
-                        ok = False
-                        detail = f"failed at {p} marks {marks}"
-                        break
-    out.append(CheckResult("marked list round trip", ok, detail))
-    return out
+        members = [p for p in itertools.permutations(range(1, n + 1)) if perms.satisfies(p, pattern)]
+        if len(members) != bell[n]:
+            yield f"{len(members)} members at n = {n}, not {bell[n]}"
+        for p in members:
+            if four_patterns.from_partition_increasing(four_patterns.to_partition_increasing(p)) != p:
+                yield f"failed at {p}"
 
 
 def verify_fourpatterns(max_n: int) -> list[CheckResult]:
@@ -99,23 +110,7 @@ def verify_fourpatterns(max_n: int) -> list[CheckResult]:
     labels = sorted(c.label for c in classes if not c.trivial)
     ok = labels == ["a051295", "a051295", "bell", "bell", "new4"]
     out.append(CheckResult("nontrivial labels", ok, ", ".join(labels)))
-    bell = recurrences.bell_numbers(bound)
-    ok = True
-    for n in range(1, bound + 1):
-        members = [
-            p
-            for p in itertools.permutations(range(1, n + 1))
-            if perms.satisfies(p, perms.parse_pattern("32(4)1"))
-        ]
-        if len(members) != bell[n]:
-            ok = False
-            break
-        for p in members:
-            sp = four_patterns.to_partition_increasing(p)
-            if four_patterns.from_partition_increasing(sp) != p:
-                ok = False
-                break
-    out.append(CheckResult("partition bijection round trip", ok, f"n <= {bound}"))
+    out.append(_first_failure("partition bijection round trip", f"n <= {bound}", _partition_failures(bound)))
     return out
 
 

@@ -10,9 +10,11 @@ from eigenperm import (
     eigen_compose,
     eigen_decompose,
     fast_35241ok,
+    four_patterns,
     parse_pattern,
     parse_perm_list,
     recurrences,
+    series,
 )
 from eigenperm.cli import main, run
 
@@ -90,6 +92,26 @@ def test_seq_rejects_bad_n(capsys):
     assert code == 2 and out == "" and "invalid input" in err
 
 
+def test_seq_refuses_n_past_its_ceiling(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("seq computed terms past its ceiling")
+
+    for module, name in (
+        (series, "eigensequence"),
+        (recurrences, "recurrence_tables"),
+        (recurrences, "catalan_numbers"),
+        (recurrences, "bell_numbers"),
+        (four_patterns, "a051295_terms"),
+        (four_patterns, "new4_terms"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    ceilings = {"eigen": 400, "a": 400, "catalan": 5000, "bell": 4000, "a051295": 1000, "new4": 300}
+    for name, ceiling in ceilings.items():
+        code, out, err = invoke(capsys, "seq", name, "--n", str(ceiling + 1))
+        assert (code, out) == (3, ""), name
+        assert err.startswith("limit exceeded: ") and str(ceiling) in err
+
+
 def test_count_brute_and_fast_agree(capsys):
     code, out, _ = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "4")
     assert (code, out) == (0, "23\n")
@@ -141,6 +163,15 @@ def test_classify4_table(capsys):
     code, out, err = invoke(capsys, "classify4", "--max-n", "5")
     assert code == 0
     assert "16 orbits" in out and "64 trivial" in out
+
+
+def test_classify4_refuses_depths_past_the_census_limit(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify4 ran a census past the limit")
+
+    monkeypatch.setattr(four_patterns, "census", refuse)
+    code, out, err = invoke(capsys, "classify4", "--max-n", "11")
+    assert code == 3 and out == "" and "limit exceeded" in err
 
 
 def test_classify4_refuses_depths_where_references_agree(capsys):

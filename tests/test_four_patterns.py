@@ -18,8 +18,10 @@ from eigenperm import (
     classify,
     count_1342ok_by_position,
     format_pattern,
+    four_patterns,
     from_partition_decreasing,
     from_partition_increasing,
+    is_avoider,
     new4_terms,
     parse_pattern,
     patience_ok,
@@ -29,6 +31,7 @@ from eigenperm import (
     to_partition_increasing,
     wilf_map,
 )
+from eigenperm.recurrences import catalan_numbers
 
 
 def all_partitions(n):
@@ -98,9 +101,26 @@ def test_classify_structure(pattern_census_table):
     assert "catalan" in report and "new4" in report and "bell" in report
 
 
-def test_classify_respects_census_limit():
+def test_classify_respects_census_limit(monkeypatch):
+    # The depth is refused before any census runs.
+    def refuse(*args):
+        raise AssertionError("classify ran a census past the limit")
+
+    monkeypatch.setattr(four_patterns, "census", refuse)
     with pytest.raises(ResourceLimitError):
-        classify(max_n=8, census_limit=7)
+        classify(max_n=11)
+
+
+def test_three_letter_bases_are_catalan():
+    # Simion-Schmidt: each 3-pattern has C_n avoiders, which is why a
+    # Catalan orbit is the trivial one.
+    cat = catalan_numbers(8)
+    for base in itertools.permutations((1, 2, 3)):
+        counts = [
+            sum(1 for p in itertools.permutations(range(1, n + 1)) if is_avoider(p, base))
+            for n in range(9)
+        ]
+        assert counts == cat, base
 
 
 def test_reference_sequences_match_censuses(pattern_census_table):
@@ -193,6 +213,16 @@ def test_count_by_position_of_smallest():
         assert sum(by_pos) == a051295_terms(n)[n]
     with pytest.raises(InvalidInputError):
         count_1342ok_by_position(3, 4)
+
+
+def test_count_by_position_matches_power_expansion_at_30():
+    # u_{30,k} is the coefficient of x^(30-k) in (sum m! x^m)^k.
+    n = 30
+    facts = [math.factorial(m) for m in range(n)]
+    power = [1] + [0] * (n - 1)
+    for k in range(1, n + 1):
+        power = [sum(power[i] * facts[d - i] for i in range(d + 1)) for d in range(n)]
+        assert count_1342ok_by_position(n, k) == power[n - k]
 
 
 def test_new4_terms():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from eigenperm import InvalidInputError, run_suite
+from eigenperm import InvalidInputError, bijection, run_suite
 from eigenperm.verify import SUITES
 
 
@@ -11,6 +11,13 @@ def test_each_suite_passes_at_small_size():
         results = run_suite(suite, 5)
         assert results
         assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def test_failed_check_reports_the_first_counterexample(monkeypatch):
+    monkeypatch.setattr(bijection, "list_to_marked", lambda items: None)
+    marked = {r.name: r for r in run_suite("bijection", 4)}["marked list round trip"]
+    assert not marked.ok
+    assert marked.detail == "failed at (1,) marks ()"
 
 
 def test_all_suite_is_the_union():
