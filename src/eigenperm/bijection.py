@@ -36,7 +36,6 @@ from .perms import (
     _lrmax_factors,
     _reduce,
     as_perm,
-    lrmax_factorize,
 )
 
 __all__ = [
@@ -131,10 +130,6 @@ class MarkedPermutation:
             raise InvalidInputError(
                 f"marks {sorted(self.marks)} are not non-maximal LIT entries of {self.perm!r}"
             )
-
-    @property
-    def k(self) -> int:
-        return len(self.marks) + 1
 
 
 def star_encode(p: Iterable[int]) -> tuple[Perm, StarredPermutation]:
@@ -294,8 +289,8 @@ def sort_factor_tails(
     >>> sort_factor_tails((3, 2, 1, 4))[0].perm
     (3, 1, 2, 4)
     """
-    fac = lrmax_factorize(p)
-    return MarkedPermutation(_sort_tails(fac.factors), frozenset(marks)), fac.factors
+    factors = tuple(_lrmax_factors(_checked_standard(p)))
+    return MarkedPermutation(_sort_tails(factors), frozenset(marks)), factors
 
 
 def _sort_tails(factors: Iterable[tuple[int, Perm]]) -> Perm:

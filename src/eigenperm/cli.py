@@ -93,7 +93,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "no fast counting route for pattern "
                 f"{format_pattern(pattern)!r}; rerun with --brute"
             )
-        print(recurrences.recurrence_tables(args.n).a[args.n])
+        # seq a's terms start at n = 1; a_0 = 1 counts the empty permutation.
+        print(_sequence_terms("a", args.n)[-1] if args.n else 1)
         return 0
     print(census(pattern, args.n))
     return 0

@@ -55,7 +55,7 @@ Perm = tuple[int, ...]
 
 GENERATORS = ("complement", "reverse", "inverse")
 
-# The largest n that census enumerates by default: 10! permutations.
+# The largest n that census enumerates: 10! permutations.
 CENSUS_LIMIT = 10
 
 
@@ -200,14 +200,12 @@ def _lrmax_factors(p: Sequence[int]) -> list[tuple[int, Perm]]:
 
 def complement(p: Iterable[int]) -> Perm:
     """Replace each entry e of a standard permutation by n+1-e."""
-    p = _checked_standard(p)
-    n = len(p)
-    return tuple(n + 1 - e for e in p)
+    return _move("complement", _checked_standard(p))
 
 
 def reverse(p: Iterable[int]) -> Perm:
     """Read the permutation right to left."""
-    return _checked_standard(p)[::-1]
+    return _move("reverse", _checked_standard(p))
 
 
 def invert(p: Iterable[int]) -> Perm:
@@ -216,7 +214,16 @@ def invert(p: Iterable[int]) -> Perm:
     >>> invert((2, 3, 1))
     (3, 1, 2)
     """
-    p = _checked_standard(p)
+    return _move("inverse", _checked_standard(p))
+
+
+def _move(name: str, p: Perm) -> Perm:
+    # One generator from GENERATORS on a standard p, without validation.
+    if name == "complement":
+        n = len(p)
+        return tuple(n + 1 - e for e in p)
+    if name == "reverse":
+        return p[::-1]
     out = [0] * len(p)
     for i, v in enumerate(p, start=1):
         out[v - 1] = i
@@ -248,12 +255,7 @@ def apply_symmetry(p: Iterable[int], g: str | Iterable[str]) -> Perm:
     """
     q = _checked_standard(p)
     for name in _generator_list(g):
-        if name == "complement":
-            q = complement(q)
-        elif name == "reverse":
-            q = reverse(q)
-        else:
-            q = invert(q)
+        q = _move(name, q)
     return q
 
 
@@ -350,15 +352,8 @@ def apply_pattern_symmetry(up: UnderlinedPattern, g: str | Iterable[str]) -> Und
     """
     full, mark = up.full, up.mark
     for name in _generator_list(g):
-        if name == "complement":
-            full = complement(full)
-        elif name == "reverse":
-            full = reverse(full)
-            mark = len(full) + 1 - mark
-        else:
-            value = full[mark - 1]
-            full = invert(full)
-            mark = value
+        mark = {"complement": mark, "reverse": len(full) + 1 - mark, "inverse": full[mark - 1]}[name]
+        full = _move(name, full)
     return UnderlinedPattern(full, mark)
 
 
@@ -385,8 +380,6 @@ def _iter_occurrences(p: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
     m, n = len(pattern), len(p)
     if m == 0:
         yield ()
-        return
-    if m > n:
         return
     bounds = _tight_bounds(pattern)
     occ = [0] * m
@@ -424,19 +417,13 @@ def occurrences(p: Iterable[int], pattern: Iterable[int]) -> list[tuple[int, ...
     []
     """
     p = as_perm(p)
-    pattern = as_perm(pattern)
-    if pattern and not is_standard(pattern):
-        raise InvalidInputError(f"pattern must be standard, got {pattern!r}")
-    return [tuple(q + 1 for q in occ) for occ in _iter_occurrences(p, pattern)]
+    return [tuple(q + 1 for q in occ) for occ in _iter_occurrences(p, _checked_standard(pattern))]
 
 
 def contains(p: Iterable[int], pattern: Iterable[int]) -> bool:
     """True when ``pattern`` occurs in ``p`` at least once."""
     p = as_perm(p)
-    pattern = as_perm(pattern)
-    if pattern and not is_standard(pattern):
-        raise InvalidInputError(f"pattern must be standard, got {pattern!r}")
-    return next(_iter_occurrences(p, pattern), None) is not None
+    return next(_iter_occurrences(p, _checked_standard(pattern)), None) is not None
 
 
 def is_avoider(p: Iterable[int], pattern: Iterable[int]) -> bool:
@@ -479,20 +466,18 @@ def satisfies(p: Iterable[int], up: UnderlinedPattern) -> bool:
     return _satisfies(_checked_standard(p), up)
 
 
-def census(up: UnderlinedPattern, n: int, limit: int = CENSUS_LIMIT) -> int:
+def census(up: UnderlinedPattern, n: int) -> int:
     """Number of standard permutations of [n] satisfying ``up``.
 
-    Brute force over all n! permutations; refuses to run past ``limit``.
+    Brute force over all n! permutations; refuses to run past ``CENSUS_LIMIT``.
 
     >>> census(parse_pattern("3(5)241"), 4)
     23
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidInputError(f"n must be a nonnegative integer, got {n!r}")
-    if n > limit:
-        raise ResourceLimitError(f"census at n={n} exceeds the limit {limit}")
-    if n == 0:
-        return int(_satisfies((), up))
+    if n > CENSUS_LIMIT:
+        raise ResourceLimitError(f"census at n={n} exceeds the limit {CENSUS_LIMIT}")
     count = 0
     sat = _satisfies
     for p in itertools.permutations(range(1, n + 1)):

@@ -28,6 +28,9 @@ __all__ = [
     "recurrence_tables",
 ]
 
+# The largest n_max the composition sums accept (2^(n-1) compositions of n).
+COMPOSITION_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class RecurrenceTables:
@@ -141,7 +144,7 @@ def dominance_count(comp: Sequence[int]) -> int:
     return g[n]
 
 
-def counts_via_dominance(n_max: int, limit: int = 16) -> list[int]:
+def counts_via_dominance(n_max: int) -> list[int]:
     """Class counts a_0..a_{n_max} from the dominance-weighted composition sum.
 
     a_n = sum over compositions c of n of
@@ -150,24 +153,24 @@ def counts_via_dominance(n_max: int, limit: int = 16) -> list[int]:
     >>> counts_via_dominance(4)
     [1, 1, 2, 6, 23]
     """
-    return _composition_sum(n_max, limit, weighted=True)
+    return _composition_sum(n_max, weighted=True)
 
 
-def catalan_via_compositions(n_max: int, limit: int = 16) -> list[int]:
+def catalan_via_compositions(n_max: int) -> list[int]:
     """Same composition sum with the dominance weight dropped: Catalan numbers.
 
     >>> catalan_via_compositions(4)
     [1, 1, 2, 5, 14]
     """
-    return _composition_sum(n_max, limit, weighted=False)
+    return _composition_sum(n_max, weighted=False)
 
 
-def _composition_sum(n_max: int, limit: int, weighted: bool) -> list[int]:
+def _composition_sum(n_max: int, weighted: bool) -> list[int]:
     if not isinstance(n_max, int) or n_max < 0:
         raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if n_max > limit:
+    if n_max > COMPOSITION_LIMIT:
         raise ResourceLimitError(
-            f"composition sum at n={n_max} exceeds the limit {limit}"
+            f"composition sum at n={n_max} exceeds the limit {COMPOSITION_LIMIT}"
         )
     a = [1]
     for n in range(1, n_max + 1):

@@ -15,6 +15,7 @@ from eigenperm import (
     parse_perm_list,
     recurrences,
     series,
+    verify,
 )
 from eigenperm.cli import main, run
 
@@ -110,15 +111,18 @@ def test_seq_refuses_n_past_its_ceiling(capsys, monkeypatch):
         code, out, err = invoke(capsys, "seq", name, "--n", str(ceiling + 1))
         assert (code, out) == (3, ""), name
         assert err.startswith("limit exceeded: ") and str(ceiling) in err
+    # count --fast runs seq a's route, under the same ceiling.
+    code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "401", "--fast")
+    assert (code, out) == (3, "")
+    assert err.startswith("limit exceeded: ") and "400" in err
 
 
 def test_count_brute_and_fast_agree(capsys):
-    code, out, _ = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "4")
-    assert (code, out) == (0, "23\n")
-    code, out, _ = invoke(
-        capsys, "count", "--pattern", "3(5)241", "--n", "9", "--fast"
-    )
-    assert (code, out) == (0, "117545\n")
+    expected = [1, 1, 2, 6, 23, 104, 531, 2982, 18109, 117545]
+    for n, count in enumerate(expected):
+        for route in ("--brute", "--fast"):
+            code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", str(n), route)
+            assert (code, out, err) == (0, f"{count}\n", ""), (n, route)
     code, out, _ = invoke(
         capsys, "count", "--pattern", "32(4)1", "--n", "5", "--brute"
     )
@@ -220,6 +224,32 @@ def test_verify_suite_passes(capsys):
     assert (code, err) == (0, "")
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_rejects_negative_max_n(capsys):
+    for suite in verify.SUITES:
+        code, out, err = invoke(capsys, "verify", "--suite", suite, "--max-n", "-1")
+        assert (code, out) == (2, ""), suite
+        assert err.startswith("invalid input: ")
+
+
+def test_verify_refuses_max_n_past_its_ceiling(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify computed past its ceiling")
+
+    for module, name in (
+        (series, "eigensequence"),
+        (series, "verify_shift"),
+        (recurrences, "recurrence_tables"),
+        (recurrences, "counts_via_dominance"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for suite in ("recurrences", "all"):
+        code, out, err = invoke(
+            capsys, "verify", "--suite", suite, "--max-n", str(verify.RECURRENCES_LIMIT + 1)
+        )
+        assert (code, out) == (3, ""), suite
+        assert err.startswith("limit exceeded: ")
 
 
 def test_unknown_flag_exits_nonzero(capsys):

@@ -146,6 +146,18 @@ def test_symmetries_compose_correctly(p):
     assert rc_then_inv == inv_then_rc
 
 
+def test_apply_symmetry_matches_composed_generators():
+    one = {"complement": complement, "reverse": reverse, "inverse": invert}
+    short_words = [()] + [(g,) for g in GENERATORS] + list(itertools.product(GENERATORS, repeat=2))
+    for n in range(6):
+        for p in itertools.permutations(range(1, n + 1)):
+            for word in short_words:
+                expected = p
+                for g in word:
+                    expected = one[g](expected)
+                assert apply_symmetry(p, word) == expected, (p, word)
+
+
 def test_apply_symmetry_rejects_unknown_generator():
     with pytest.raises(InvalidInputError):
         apply_symmetry((1,), "transpose")
@@ -183,6 +195,21 @@ def test_pattern_symmetry_on_marked_pattern():
     assert format_pattern(apply_pattern_symmetry(up, "complement")) == "3(1)425"
     assert format_pattern(apply_pattern_symmetry(up, "reverse")) == "142(5)3"
     assert apply_pattern_symmetry(apply_pattern_symmetry(up, "inverse"), "inverse") == up
+
+
+def test_pattern_symmetry_moves_every_marked_4_pattern():
+    from eigenperm import all_underlined4
+
+    for up in all_underlined4():
+        full, mark = up.full, up.mark
+        inverse = tuple(full.index(v) + 1 for v in range(1, 5))
+        expected = {
+            "complement": UnderlinedPattern(tuple(5 - v for v in full), mark),
+            "reverse": UnderlinedPattern(full[::-1], 5 - mark),
+            "inverse": UnderlinedPattern(inverse, full[mark - 1]),
+        }
+        for g in GENERATORS:
+            assert apply_pattern_symmetry(up, g) == expected[g], (up, g)
 
 
 def test_pattern_symmetry_preserves_census(pattern_census_table):
@@ -245,7 +272,6 @@ def test_census_values_and_limit():
     assert census(parse_pattern("32(4)1"), 5) == 52
     with pytest.raises(ResourceLimitError):
         census(up, 11)
-    assert census(up, 5, limit=5) == 104
     with pytest.raises(InvalidInputError):
         census(up, -1)
 

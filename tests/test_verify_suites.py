@@ -33,3 +33,9 @@ def test_unknown_suite_rejected():
     assert set(SUITES) == {"recurrences", "bijection", "fourpatterns", "all"}
     with pytest.raises(InvalidInputError):
         run_suite("everything", 4)
+
+
+def test_negative_max_n_rejected():
+    for suite in SUITES:
+        with pytest.raises(InvalidInputError):
+            run_suite(suite, -1)
