@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from .perms import (
     InvalidInputError,
     Perm,
+    _checked_size,
     _checked_standard,
     _fast_ok,
     _lit,
@@ -100,11 +101,10 @@ class StarredPermutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _checked_standard(self.base))
-        object.__setattr__(self, "before", tuple(self.before))
+        object.__setattr__(self, "before", tuple(_checked_size(c, "a star count") for c in self.before))
+        _checked_size(self.after_max, "after_max")
         if len(self.before) != len(self.base):
             raise InvalidInputError("one star count per position is required")
-        if any(not isinstance(c, int) or c < 0 for c in self.before) or self.after_max < 0:
-            raise InvalidInputError("star counts must be nonnegative integers")
         lit = set(_lit(self.base))
         for cnt, v in zip(self.before, self.base):
             if cnt and v not in lit:

@@ -25,6 +25,8 @@ from . import bijection, four_patterns, recurrences, series, textforms, verify
 from .perms import (
     InvalidInputError,
     ResourceLimitError,
+    _checked_size,
+    _within_limit,
     census,
     format_pattern,
     parse_pattern,
@@ -49,13 +51,11 @@ _SEQUENCES = {
 }
 
 
-def _sequence_terms(name: str, n: int) -> list[int]:
-    """First ``n`` terms, where term ``i`` counts length-``i`` objects."""
-    if n < 1:
-        raise InvalidInputError("--n must be at least 1")
+def _sequence_terms(name: str, n: int, command: str) -> list[int]:
+    """First ``n`` terms for ``command``, where term ``i`` counts length-``i`` objects."""
+    _checked_size(n, "--n", 1)
     terms, ceiling = _SEQUENCES[name]
-    if n > ceiling:
-        raise ResourceLimitError(f"seq {name} at n={n} exceeds the limit {ceiling}")
+    _within_limit(command, n, ceiling)
     return terms(n)
 
 
@@ -69,7 +69,7 @@ def _emit_sequence(terms: list[int], bfile: bool, as_json: bool) -> None:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    terms = _sequence_terms(args.name, args.n)
+    terms = _sequence_terms(args.name, args.n, f"seq {args.name}")
     # Exact terms may pass the interpreter's int-to-str digit limit
     # (Python 3.11+ and late 3.10 releases); lift it only while writing.
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -85,8 +85,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     pattern = parse_pattern(args.pattern)
-    if args.n < 0:
-        raise InvalidInputError("--n must be nonnegative")
+    _checked_size(args.n, "--n")
     if args.fast:
         if pattern != _FAST_PATTERN:
             raise InvalidInputError(
@@ -94,7 +93,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 f"{format_pattern(pattern)!r}; rerun with --brute"
             )
         # seq a's terms start at n = 1; a_0 = 1 counts the empty permutation.
-        print(_sequence_terms("a", args.n)[-1] if args.n else 1)
+        print(_sequence_terms("a", args.n, "count --fast")[-1] if args.n else 1)
         return 0
     print(census(pattern, args.n))
     return 0
@@ -129,22 +128,15 @@ def _cmd_biject(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_compose_input(text: str) -> tuple[str, str]:
-    if ";" not in text:
-        raise InvalidInputError(
-            'compose input must look like "<rho> ; <item list>"'
-        )
-    head, _, tail = text.partition(";")
-    return head, tail
-
-
 def _cmd_eigen(args: argparse.Namespace) -> int:
     if args.direction == "decompose":
         p = textforms.parse_perm(args.input)
         rho, items = bijection.eigen_decompose(p)
         print(f"{textforms.format_perm(rho)} ; {textforms.format_perm_list(items)}")
     else:
-        head, tail = _split_compose_input(args.input)
+        head, semicolon, tail = args.input.partition(";")
+        if not semicolon:
+            raise InvalidInputError('compose input must look like "<rho> ; <item list>"')
         rho = textforms.parse_perm(head)
         items = textforms.parse_perm_list(tail)
         print(textforms.format_perm(bijection.eigen_compose(rho, items)))

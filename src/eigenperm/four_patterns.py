@@ -24,11 +24,12 @@ from .perms import (
     GENERATORS,
     InvalidInputError,
     Perm,
-    ResourceLimitError,
     UnderlinedPattern,
+    _checked_size,
     _checked_standard,
     _lrmax_factors,
     _satisfies,
+    _within_limit,
     apply_pattern_symmetry,
     census,
     parse_pattern,
@@ -108,12 +109,8 @@ def classify(max_n: int = 7) -> list[PatternClass]:
     ``max_n`` past the census limit raises ResourceLimitError before any
     census runs.
     """
-    if not isinstance(max_n, int) or max_n < 5:
-        raise InvalidInputError(
-            f"max_n must be at least 5, where the reference sequences differ; got {max_n!r}"
-        )
-    if max_n > CENSUS_LIMIT:
-        raise ResourceLimitError(f"census at n={max_n} exceeds the limit {CENSUS_LIMIT}")
+    _checked_size(max_n, "max_n, to reach where the reference sequences differ,", 5)
+    _within_limit("census", max_n, CENSUS_LIMIT)
     patterns = all_underlined4()
     refs = {
         "catalan": tuple(catalan_numbers(max_n)),
@@ -239,8 +236,7 @@ def a051295_terms(n_max: int) -> list[int]:
     >>> a051295_terms(7)
     [1, 1, 2, 5, 15, 54, 235, 1237]
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    _checked_size(n_max, "n_max")
     u = [1]
     fact = [1]  # 0!, 1!, ..., (n-1)!
     for n in range(1, n_max + 1):
@@ -261,7 +257,9 @@ def count_1342ok_by_position(n: int, k: int) -> int:
     >>> count_1342ok_by_position(3, 2)
     2
     """
-    if not isinstance(n, int) or not isinstance(k, int) or n < 1 or not 1 <= k <= n:
+    _checked_size(n, "n", 1)
+    _checked_size(k, "k", 1)
+    if k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
     *_, column = _power_columns([math.factorial(i) for i in range(n)])
     return column[k - 1]
@@ -276,8 +274,7 @@ def new4_terms(n_max: int) -> list[int]:
     >>> new4_terms(8)
     [1, 1, 2, 5, 15, 55, 248, 1357, 8809]
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    _checked_size(n_max, "n_max")
     out = [1]
     for n in range(1, n_max + 1):
         total = math.factorial(n - 1)

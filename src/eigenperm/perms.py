@@ -82,6 +82,21 @@ def as_perm(word: Iterable[int]) -> Perm:
     return p
 
 
+def _checked_size(value: object, name: str, least: int = 0) -> int:
+    # The one check for sizes and counts: an int, not a bool, at least ``least``.
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    kinds = {0: "a nonnegative integer", 1: "a positive integer"}
+    kind = kinds.get(least, f"an integer of at least {least}")
+    raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
+
+
+def _within_limit(what: str, n: int, limit: int) -> None:
+    # The one ceiling check: refuse work past ``limit`` before doing any.
+    if n > limit:
+        raise ResourceLimitError(f"{what} at n={n} exceeds the limit {limit}")
+
+
 def is_standard(p: Sequence[int]) -> bool:
     """True when ``p`` uses exactly the values 1..len(p).
 
@@ -271,10 +286,9 @@ class UnderlinedPattern:
     mark: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "full", as_perm(self.full))
-        if not self.full or not is_standard(self.full):
-            raise InvalidInputError(f"pattern must be a nonempty standard permutation, got {self.full!r}")
-        if not isinstance(self.mark, int) or not 1 <= self.mark <= len(self.full):
+        object.__setattr__(self, "full", _checked_standard(self.full))
+        _checked_size(self.mark, "mark position", 1)
+        if self.mark > len(self.full):
             raise InvalidInputError(f"mark position {self.mark!r} out of range for {self.full!r}")
 
     @cached_property
@@ -305,7 +319,7 @@ class UnderlinedPattern:
 def parse_pattern(text: str) -> UnderlinedPattern:
     """Parse e.g. ``"3(5)241"`` into an :class:`UnderlinedPattern`.
 
-    Letters are single digits; exactly one letter is parenthesized.
+    Letters are single ASCII digits; exactly one letter is parenthesized.
 
     >>> parse_pattern("3(5)241").mark
     2
@@ -318,12 +332,12 @@ def parse_pattern(text: str) -> UnderlinedPattern:
         if ch == "(":
             if mark is not None:
                 raise InvalidInputError(f"more than one marked letter in {text!r}")
-            if i + 2 >= len(s) or not s[i + 1].isdigit() or s[i + 2] != ")":
+            if i + 2 >= len(s) or not ("0" <= s[i + 1] <= "9") or s[i + 2] != ")":
                 raise InvalidInputError(f"malformed mark in {text!r}")
             letters.append(int(s[i + 1]))
             mark = len(letters)
             i += 3
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             letters.append(int(ch))
             i += 1
         elif ch.isspace():
@@ -474,10 +488,8 @@ def census(up: UnderlinedPattern, n: int) -> int:
     >>> census(parse_pattern("3(5)241"), 4)
     23
     """
-    if not isinstance(n, int) or n < 0:
-        raise InvalidInputError(f"n must be a nonnegative integer, got {n!r}")
-    if n > CENSUS_LIMIT:
-        raise ResourceLimitError(f"census at n={n} exceeds the limit {CENSUS_LIMIT}")
+    _checked_size(n, "n")
+    _within_limit("census", n, CENSUS_LIMIT)
     count = 0
     sat = _satisfies
     for p in itertools.permutations(range(1, n + 1)):

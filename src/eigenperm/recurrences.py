@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import InvalidInputError, ResourceLimitError
+from .perms import InvalidInputError, _checked_size, _within_limit
 
 __all__ = [
     "RecurrenceTables",
@@ -64,8 +64,7 @@ def recurrence_tables(n_max: int) -> RecurrenceTables:
     >>> t.by_first[2]
     (2, 2, 2)
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
+    _checked_size(n_max, "n_max", 1)
     a = [1]
     c = [1]
     rows: list[tuple[int, ...]] = []
@@ -89,11 +88,14 @@ def recurrence_tables(n_max: int) -> RecurrenceTables:
 def compositions(n: int) -> list[tuple[int, ...]]:
     """All compositions of n, first part descending then recursively so.
 
+    There are 2^(n-1) of them, so n above ``COMPOSITION_LIMIT`` raises
+    ResourceLimitError.
+
     >>> compositions(3)
     [(3,), (2, 1), (1, 2), (1, 1, 1)]
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"n must be a positive integer, got {n!r}")
+    _checked_size(n, "n", 1)
+    _within_limit("compositions", n, COMPOSITION_LIMIT)
     out: list[tuple[int, ...]] = []
     # Depth first; parts are pushed ascending so the largest pops first.
     stack: list[tuple[tuple[int, ...], int]] = [((), n)]
@@ -117,9 +119,9 @@ def dominance_count(comp: Sequence[int]) -> int:
     >>> dominance_count((1, 1, 1))
     1
     """
-    c = tuple(comp)
-    if not c or any(not isinstance(x, int) or x < 1 for x in c):
-        raise InvalidInputError(f"a composition needs positive integer parts, got {c!r}")
+    c = tuple(_checked_size(x, "a composition part", 1) for x in comp)
+    if not c:
+        raise InvalidInputError("a composition needs at least one part")
     n = sum(c)
     r = len(c)
     prefix = []
@@ -166,12 +168,9 @@ def catalan_via_compositions(n_max: int) -> list[int]:
 
 
 def _composition_sum(n_max: int, weighted: bool) -> list[int]:
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if n_max > COMPOSITION_LIMIT:
-        raise ResourceLimitError(
-            f"composition sum at n={n_max} exceeds the limit {COMPOSITION_LIMIT}"
-        )
+    _checked_size(n_max, "n_max")
+    # Refuse before any work; compositions(n) checks the same ceiling per n.
+    _within_limit("composition sum", n_max, COMPOSITION_LIMIT)
     a = [1]
     for n in range(1, n_max + 1):
         total = 0
@@ -190,8 +189,7 @@ def bell_numbers(n_max: int) -> list[int]:
     >>> bell_numbers(5)
     [1, 1, 2, 5, 15, 52]
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    _checked_size(n_max, "n_max")
     bells = [1]
     row = [1]
     for _ in range(n_max):
@@ -209,6 +207,5 @@ def catalan_numbers(n_max: int) -> list[int]:
     >>> catalan_numbers(5)
     [1, 1, 2, 5, 14, 42]
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    _checked_size(n_max, "n_max")
     return [math.comb(2 * n, n) // (n + 1) for n in range(n_max + 1)]

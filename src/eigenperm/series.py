@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .perms import InvalidInputError
+from .perms import InvalidInputError, _checked_size
 
 __all__ = ["PowerSeries", "compose", "eigensequence", "verify_shift"]
 
@@ -36,8 +36,7 @@ class PowerSeries:
     @classmethod
     def identity(cls, order: int) -> "PowerSeries":
         """The series x, truncated at the given order."""
-        if order < 1:
-            raise InvalidInputError("order must be at least 1")
+        _checked_size(order, "order", 1)
         return cls((1,) + (0,) * (order - 1))
 
 
@@ -83,8 +82,7 @@ def eigensequence(order: int) -> list[int]:
     >>> eigensequence(7)
     [1, 1, 2, 6, 23, 104, 531]
     """
-    if not isinstance(order, int) or order < 1:
-        raise InvalidInputError(f"order must be a positive integer, got {order!r}")
+    _checked_size(order, "order", 1)
     b = [1]
     columns = _power_columns(b)
     while len(b) < order:
@@ -102,8 +100,9 @@ def verify_shift(terms: Iterable[int], order: int) -> bool:
     >>> verify_shift([1, 1, 1, 1, 1], 3)
     False
     """
+    _checked_size(order, "order", 1)
     ts = list(terms)
-    if order < 1 or len(ts) < order:
+    if len(ts) < order:
         raise InvalidInputError("need at least `order` terms")
     if order == 1:
         return True

@@ -25,9 +25,12 @@ __all__ = [
 
 
 def _int_token(token: str, text: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise InvalidInputError(f"bad entry {token!r} in {text!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's int-from-str digit limit
+        raise InvalidInputError(f"entry {token[:20]}... has {len(token)} digits, too many to read") from None
 
 
 def parse_perm(text: str) -> Perm:
@@ -44,12 +47,9 @@ def parse_marked(text: str) -> MarkedPermutation:
     entries: list[int] = []
     marks: list[int] = []
     for token in text.split():
+        entries.append(_int_token(token.removesuffix("^"), text))
         if token.endswith("^"):
-            v = _int_token(token[:-1], text)
-            marks.append(v)
-        else:
-            v = _int_token(token, text)
-        entries.append(v)
+            marks.append(entries[-1])
     return MarkedPermutation(tuple(entries), frozenset(marks))
 
 
@@ -58,42 +58,27 @@ def format_marked(mp: MarkedPermutation) -> str:
 
 
 def parse_starred(text: str) -> StarredPermutation:
-    """Parse "2 8 3 1 * * 9 4 6 5 * 10 * 7": stars precede the next entry.
+    """Parse "2 8 3 1 * * 9 4 6 5 * 10 * 7": a star run sits on the entry after it.
 
-    Star groups after the maximum entry (including trailing groups) count
-    as after-max stars.
+    The run right after the maximum is the after-max run, so trailing stars
+    need the maximum to come last; :class:`StarredPermutation` checks that
+    every other run sits on an LIT entry.
     """
     entries: list[int] = []
-    pending: list[int] = []  # star-run length before each parsed entry
-    run = 0
+    runs = [0]  # runs[i]: the stars before entry i; runs[-1]: the trailing stars
     for token in text.split():
         if token == "*":
-            run += 1
+            runs[-1] += 1
         else:
             entries.append(_int_token(token, text))
-            pending.append(run)
-            run = 0
-    trailing = run
-    if not entries:
-        # Bare stars sit after the (absent) maximum of an empty base.
-        return StarredPermutation((), (), trailing)
-    top = max(entries)
-    top_at = entries.index(top)
-    before = [0] * len(entries)
-    after = trailing
-    if trailing and top_at != len(entries) - 1:
+            runs.append(0)
+    # An empty base has top_at -1: bare stars sit after its absent maximum.
+    top_at = entries.index(max(entries)) if entries else -1
+    if runs[-1] and top_at != len(entries) - 1:
         raise InvalidInputError(f"trailing stars must follow the maximum in {text!r}")
-    for i, cnt in enumerate(pending):
-        if cnt and i > top_at:
-            if i == top_at + 1:
-                after += cnt
-            else:
-                raise InvalidInputError(
-                    f"stars after the maximum must be adjacent to it in {text!r}"
-                )
-        else:
-            before[i] = cnt
-    return StarredPermutation(tuple(entries), tuple(before), after)
+    after = runs[top_at + 1]
+    runs[top_at + 1] = 0
+    return StarredPermutation(tuple(entries), tuple(runs[:-1]), after)
 
 
 def format_starred(sp: StarredPermutation) -> str:

@@ -42,8 +42,7 @@ def _first_failure(name: str, scope: str, failures: Iterator[str]) -> CheckResul
 
 
 def verify_recurrences(max_n: int) -> list[CheckResult]:
-    if max_n > RECURRENCES_LIMIT:
-        raise perms.ResourceLimitError(f"recurrences checks at n={max_n} exceed the limit {RECURRENCES_LIMIT}")
+    perms._within_limit("recurrences checks", max_n, RECURRENCES_LIMIT)
     out = []
     b = series.eigensequence(max_n + 2)
     tables = recurrences.recurrence_tables(max_n + 1)
@@ -131,6 +130,5 @@ SUITES = tuple(_SUITES)
 def run_suite(name: str, max_n: int) -> list[CheckResult]:
     if name not in _SUITES:
         raise perms.InvalidInputError(f"unknown suite {name!r}; choose from {SUITES}")
-    if not isinstance(max_n, int) or max_n < 0:
-        raise perms.InvalidInputError(f"max_n must be a nonnegative integer, got {max_n!r}")
+    perms._checked_size(max_n, "max_n")
     return [result for suite in _SUITES[name] for result in suite(max_n)]

@@ -111,10 +111,10 @@ def test_seq_refuses_n_past_its_ceiling(capsys, monkeypatch):
         code, out, err = invoke(capsys, "seq", name, "--n", str(ceiling + 1))
         assert (code, out) == (3, ""), name
         assert err.startswith("limit exceeded: ") and str(ceiling) in err
-    # count --fast runs seq a's route, under the same ceiling.
+    # count --fast runs seq a's route, under the same ceiling, and names itself.
     code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "401", "--fast")
     assert (code, out) == (3, "")
-    assert err.startswith("limit exceeded: ") and "400" in err
+    assert err.startswith("limit exceeded: count ") and "400" in err and "seq" not in err
 
 
 def test_count_brute_and_fast_agree(capsys):

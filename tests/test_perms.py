@@ -174,7 +174,7 @@ def test_pattern_parse_format_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "123", "(1)(2)3", "1(1)3", "13(4)", "1x(2)", "(12)3"]
+    "text", ["", "123", "(1)(2)3", "1(1)3", "13(4)", "1x(2)", "(12)3", "3(²)241", "2²(1)"]
 )
 def test_pattern_parse_rejects(text):
     with pytest.raises(InvalidInputError):
@@ -188,6 +188,8 @@ def test_pattern_requires_valid_mark():
         UnderlinedPattern((2, 1), 0)
     with pytest.raises(InvalidInputError):
         UnderlinedPattern((2, 2, 1), 1)
+    with pytest.raises(InvalidInputError):
+        UnderlinedPattern((), 1)
 
 
 def test_pattern_symmetry_on_marked_pattern():

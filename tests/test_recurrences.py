@@ -17,6 +17,7 @@ from eigenperm import (
     eigensequence,
     is_avoider,
     recurrence_tables,
+    recurrences,
 )
 
 
@@ -72,6 +73,9 @@ def test_compositions_enumeration():
         assert all(sum(c) == n and min(c) >= 1 for c in comps)
     with pytest.raises(InvalidInputError):
         compositions(0)
+    assert len(compositions(recurrences.COMPOSITION_LIMIT)) == 2 ** (recurrences.COMPOSITION_LIMIT - 1)
+    with pytest.raises(ResourceLimitError):
+        compositions(recurrences.COMPOSITION_LIMIT + 1)
 
 
 def test_compositions_leave_no_cyclic_garbage():

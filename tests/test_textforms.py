@@ -32,6 +32,13 @@ def test_parse_perm_basics():
         parse_perm("1 a 2")
 
 
+@pytest.mark.parametrize("parse", [parse_perm, parse_marked, parse_starred, parse_perm_list])
+@pytest.mark.parametrize("entry", ["²", "٣", "9" * 5000, "+1", "1_0"])
+def test_entries_are_ascii_digits(parse, entry):
+    with pytest.raises(InvalidInputError):
+        parse(f"1 {entry}")
+
+
 @given(perms_text)
 def test_perm_text_round_trip(p):
     assert parse_perm(format_perm(p)) == p
@@ -78,8 +85,14 @@ def test_starred_trailing_and_max_positions():
     assert sp.before == (0, 0)
     sp2 = parse_starred("2 * 3 1")
     assert sp2.before == (0, 1, 0) and sp2.after_max == 0
-    with pytest.raises(InvalidInputError):
-        parse_starred("2 1 *")  # stars after a non-max final entry
+    assert parse_starred("3 * 1 2") == StarredPermutation((3, 1, 2), (0, 0, 0), after_max=1)
+    for text in (
+        "2 1 *",  # stars after a non-max final entry
+        "3 * 1 * 2",  # a run after the maximum that does not touch it
+        "3 1 * 2",
+    ):
+        with pytest.raises(InvalidInputError):
+            parse_starred(text)
     with pytest.raises(InvalidInputError):
         parse_starred("* 1 3 2")  # 1 is not an LIT entry of 132
 
