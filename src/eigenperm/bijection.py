@@ -23,7 +23,8 @@ each is exercised round-trip by the test suite.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +33,7 @@ from .perms import (
     Perm,
     _checked_size,
     _checked_standard,
+    _echo,
     _fast_ok,
     _lit,
     _lrmax_factors,
@@ -128,7 +130,7 @@ class MarkedPermutation:
         allowed = set(_lit(self.perm)) - {len(self.perm)}
         if not self.marks <= allowed:
             raise InvalidInputError(
-                f"marks {sorted(self.marks)} are not non-maximal LIT entries of {self.perm!r}"
+                f"marks {_echo(sorted(self.marks))} are not non-maximal LIT entries of {_echo(self.perm)}"
             )
 
 
@@ -248,7 +250,7 @@ def expand_stars(marked: MarkedPermutation, bits: Sequence[int]) -> StarredPermu
         raise InvalidInputError("cannot expand stars on an empty permutation")
     bts = tuple(bits)
     if any(b not in (0, 1) for b in bts):
-        raise InvalidInputError(f"bits must be 0 or 1, got {bts!r}")
+        raise InvalidInputError(f"bits must be 0 or 1, got {_echo(bts)}")
     marks = sorted(marked.marks)
     if sum(bts) != len(marks) + 1:
         raise InvalidInputError(
@@ -342,81 +344,60 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     """Run the moving-window pass over a 321-avoiding marked permutation.
 
     The window starts as the panes cut at the first LIT entry and at the
-    LIT entry following each mark.  While the window is nonempty: let m be
-    the largest non-LRmax entry in all panes but the last; if some
-    not-yet-empaned LRmax entry exceeds m, the smallest such heads a new
-    pane prepended to the window, and in every case the last pane drops
-    out of the window.  Each step appends the new head (or None) to the
-    association list.
+    LIT entry following each mark; initial pane r opens row r.  The window
+    is a queue.  Each step drops its last pane and lets m be the largest
+    non-LRmax entry in the panes left.  If some not-yet-empaned LRmax entry
+    exceeds m, the smallest such heads a new pane at the front, which
+    takes over the dropped pane's row; otherwise that row closes.  Each
+    step appends the new head (or None) to the association list.
     """
     marked = MarkedPermutation(q, frozenset(marks))
     if not marked.perm:
         raise InvalidInputError("an empty permutation has no window plan")
     if not _avoids_321(marked.perm):
-        raise InvalidInputError(f"a 321-avoiding permutation is required, got {marked.perm!r}")
+        raise InvalidInputError(f"a 321-avoiding permutation is required, got {_echo(marked.perm)}")
     return _window_plan(marked.perm, tuple(sorted(marked.marks)))
 
 
 def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
-    # qq: a nonempty 321-avoiding permutation; marks: ascending.
+    # qq: a nonempty 321-avoiding permutation; marks: ascending.  The window
+    # holds (loose max, row) per pane, leftmost first: initial pane r is
+    # row r, and a pane a step creates takes the row of the pane it drops.
     n = len(qq)
     pos_of = {v: i for i, v in enumerate(qq)}
-    lit = _lit(qq)
-    k = len(marks) + 1
-    starts = sorted({pos_of[lit[0]]} | {pos_of[e + 1] for e in marks})
-    bounds = starts + [n]
-    window: list[tuple[int, int]] = [(bounds[i], bounds[i + 1]) for i in range(k)]
-    all_spans = list(window)
+    starts = sorted({pos_of[_lit(qq)[0]]} | {pos_of[e + 1] for e in marks})
     mask = _lrmax_mask(qq)
     lrpos = [i for i, flag in enumerate(mask) if flag]
+    lrvals = [qq[i] for i in lrpos]  # rising, and ending at n
 
-    def loose_max(span: tuple[int, int]) -> int:
-        return max((qq[x] for x in range(*span) if not mask[x]), default=0)
+    def loose_max(a: int, b: int) -> int:
+        return max((qq[x] for x in range(a, b) if not mask[x]), default=0)
 
-    pane_m = {span: loose_max(span) for span in window}
-    left = starts[0]
-    free = bisect_left(lrpos, left)  # number of un-empaned LRmax positions
+    spans = list(zip(starts, starts[1:] + [n]))
+    window = deque((loose_max(*span), row) for row, span in enumerate(spans))
+    rows = [[qq[s]] for s in starts]
+    left = starts[0]  # the LRmax entries left of it are not yet empaned
     assoc: list[int | None] = []
     while window:
-        m = max((pane_m[span] for span in window[:-1]), default=0)
-        choice = next((x for x in lrpos[:free] if qq[x] > m), -1)
-        if choice < 0:
-            assoc.append(None)
-        else:
+        _, row = window.pop()
+        m = max((pm for pm, _ in window), default=0)
+        choice = lrpos[bisect_right(lrvals, m)]
+        if choice < left:
             assoc.append(qq[choice])
-            span = (choice, left)
-            pane_m[span] = loose_max(span)
-            window.insert(0, span)
-            all_spans.append(span)
+            rows[row].append(qq[choice])
+            window.appendleft((loose_max(choice, left), row))
+            spans.append((choice, left))
             left = choice
-            free = bisect_left(lrpos, left)
-        window.pop()
-    insertion = list(reversed(assoc)) + [qq[s] for s in starts]
-    rows: list[list[int]] = [[] for _ in range(k)]
-    cycle = list(range(k - 1, -1, -1))
-    cur = 0
-    for item in reversed(insertion):
-        if not cycle:
-            raise AssertionError("insertion list outlived the open rows")
-        if item is None:
-            cycle.pop(cur)
-            if cycle:
-                cur %= len(cycle)
         else:
-            rows[cycle[cur]].append(item)
-            cur = (cur + 1) % len(cycle)
-    if cycle:
-        raise AssertionError("some rows were never closed")
-    if any(not row for row in rows):
-        raise AssertionError("an output row received no pane")
-    spans = tuple(sorted(all_spans))
+            assoc.append(None)  # the row closes
+    spans.sort()
     if [a for a, _ in spans] != sorted({a for a, _ in spans}) or spans[0][0] != 0:
         raise AssertionError("pane spans do not tile the permutation")
     return WindowPlan(
-        pane_spans=spans,
+        pane_spans=tuple(spans),
         initial_starts=tuple(starts),
         associations=tuple(assoc),
-        insertion=tuple(insertion),
+        insertion=(*reversed(assoc), *(qq[s] for s in starts)),
         rows=tuple(tuple(sorted(row)) for row in rows),
     )
 
@@ -431,7 +412,7 @@ def window_forward(marked: MarkedPermutation) -> tuple[Perm, ...]:
     ((1, 2, 3),)
     """
     if not _avoids_321(marked.perm):
-        raise InvalidInputError(f"a 321-avoiding permutation is required, got {marked.perm!r}")
+        raise InvalidInputError(f"a 321-avoiding permutation is required, got {_echo(marked.perm)}")
     return marked_to_list(marked)
 
 
@@ -446,7 +427,7 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
     """
     p = marked.perm
     if not _fast_ok(p):
-        raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {p!r}")
+        raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {_echo(p)}")
     if not p:
         raise InvalidInputError("an empty permutation has no window plan")
     return _to_list(p, tuple(sorted(marked.marks)))
@@ -482,7 +463,7 @@ def window_inverse(items: Iterable[Iterable[int]]) -> MarkedPermutation:
     its = _checked_items(items)
     for it in its:
         if not _avoids_321(it):
-            raise InvalidInputError(f"every item must be 321-avoiding, got {it!r}")
+            raise InvalidInputError(f"every item must be 321-avoiding, got {_echo(it)}")
     return MarkedPermutation(*_from_list(its))
 
 
@@ -491,78 +472,64 @@ def list_to_marked(items: Iterable[Iterable[int]]) -> MarkedPermutation:
 
     The inverse window pass runs on the tail-sorted items.  LIT entries
     take the top global values (last item first, right to left); the rest
-    are dealt out in descending order by visiting the items cyclically
-    leftwards, each visit filling the largest blank entry while it is
-    empaned or a left-to-right maximum, then adding a pane.  One pane
-    boundary per item (except the last visited structure) yields the
-    marks.  Each item's monotone local-to-global value map then carries
-    its original tails into the assembled permutation.
+    are dealt out in descending order to a queue of open items, first
+    visited leftwards from the last.  A visit fills the largest blank
+    entry while it is empaned or a left-to-right maximum, adds a pane for
+    what it filled left of the item's panes, and sends the item to the
+    back; a visit that fills nothing closes the item.  The largest value
+    of each item but the last is a mark.  Each item's monotone
+    local-to-global value map then carries its original tails into the
+    assembled permutation.
     """
     return MarkedPermutation(*_from_list(_checked_items(items)))
 
 
 def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
     # items: nonempty class members.  Returns the permutation and its marks,
-    # ascending; list_to_marked describes the pass.
-    k = len(items)
-    n = sum(len(it) for it in items)
-    values: list[list[int]] = [[0] * len(it) for it in items]
-    lit_pos: list[list[int]] = []
+    # ascending; list_to_marked describes the pass.  The per-item lists run
+    # from the last item to the first, the order in which the items take
+    # the top values and are first visited.
+    b = sum(len(it) for it in items)  # the next value to place
+    values: list[list[int]] = []
     masks: list[list[bool]] = []
-    covered: list[int] = []
-    panes: list[list[tuple[int, int]]] = []
-    blanks: list[list[int]] = []
-    for it in items:
+    blanks: list[deque[int]] = []
+    panes: list[list[tuple[int, int]]] = []  # the initial pane first
+    for it in reversed(items):
         q = _sort_tails(_lrmax_factors(it))
-        lits = set(_lit(q))
-        pos_of = {v: i for i, v in enumerate(q)}
-        lp = [pos_of[v] for v in sorted(lits)]
-        lit_pos.append(lp)
+        where = [0] * len(q)
+        for x, v in enumerate(q):
+            where[v - 1] = x
+        cut = len(q) - len(_lit(q))  # the values above cut are the LIT entries
+        vals = [0] * len(q)
+        for pos in reversed(where[cut:]):
+            vals[pos] = b
+            b -= 1
+        values.append(vals)
         masks.append(_lrmax_mask(q))
-        covered.append(lp[0])
-        panes.append([(lp[0], len(q))])
-        blanks.append([pos_of[v] for v in sorted(set(q) - lits, reverse=True)])
-    val = n
-    for i in range(k - 1, -1, -1):
-        for pos in reversed(lit_pos[i]):
-            values[i][pos] = val
-            val -= 1
-    remaining = val
-    ptr = [0] * k
-    cur = k - 1
-    b = val
-    stalled = 0
-    while remaining:
-        i = cur
-        newly: list[int] = []
-        while ptr[i] < len(blanks[i]):
-            pos = blanks[i][ptr[i]]
-            if pos >= covered[i] or masks[i][pos]:
-                values[i][pos] = b
-                b -= 1
-                remaining -= 1
-                newly.append(pos)
-                ptr[i] += 1
-            else:
-                break
-        if newly:
-            stalled = 0
-            first = min(newly)
-            if first < covered[i]:
-                panes[i].insert(0, (first, covered[i]))
-                covered[i] = first
-        else:
-            stalled += 1
-            if stalled > k:
-                raise InvalidInputError("the inverse window pass stalled; invalid item list")
-        cur = (cur - 1) % k
-    marks = sorted(max(values[i][x] for x in range(*panes[i][-1])) for i in range(k - 1))
+        blanks.append(deque(reversed(where[:cut])))
+        panes.append([(where[cut], len(q))])
+    open_items = deque(range(len(items)))
+    while b:
+        if not open_items:
+            raise InvalidInputError("the inverse window pass stalled; invalid item list")
+        i = open_items.popleft()
+        blank, covered, placed = blanks[i], panes[i][-1][0], b
+        first = covered
+        while blank and (blank[0] >= covered or masks[i][blank[0]]):
+            first = min(first, blank[0])
+            values[i][blank.popleft()] = b
+            b -= 1
+        if b == placed:
+            continue  # the item closes: nothing this visit read can change
+        if first < covered:
+            panes[i].append((first, covered))
+        open_items.append(i)
+    marks = sorted(max(vals) for vals in values[1:])
     chunks: list[tuple[int, ...]] = []
-    for it, vals, spans in zip(items, values, panes):
+    for it, vals, spans in zip(reversed(items), values, panes):
         ascending = sorted(vals)
         content = [ascending[v - 1] for v in it]
-        for a, b in spans:
-            chunks.append(tuple(content[a:b]))
+        chunks.extend(tuple(content[a:z]) for a, z in spans)
     chunks.sort(key=lambda c: c[0])
     return tuple(itertools.chain.from_iterable(chunks)), tuple(marks)
 
@@ -616,5 +583,5 @@ def eigen_compose(rho: Iterable[int], items: Iterable[Iterable[int]]) -> Perm:
 def _checked_member(p: Iterable[int]) -> Perm:
     q = _checked_standard(p)
     if not _fast_ok(q):
-        raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {q!r}")
+        raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {_echo(q)}")
     return q

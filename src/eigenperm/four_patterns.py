@@ -27,6 +27,7 @@ from .perms import (
     UnderlinedPattern,
     _checked_size,
     _checked_standard,
+    _echo,
     _lrmax_factors,
     _satisfies,
     _within_limit,
@@ -226,7 +227,7 @@ def _monotone_factors(
     for _, tail in factors:
         want = sorted(tail, reverse=not ascending)
         if list(tail) != want:
-            raise InvalidInputError(f"not {pattern}-OK: factor tail {tail!r} out of order")
+            raise InvalidInputError(f"not {pattern}-OK: factor tail {_echo(tail)} out of order")
     return factors
 
 
@@ -310,7 +311,7 @@ def wilf_map(p: Iterable[int]) -> Perm:
     """
     q = _checked_standard(p)
     if not _satisfies(q, _PATTERN_1324):
-        raise InvalidInputError(f"not (1)324-OK: {q!r}")
+        raise InvalidInputError(f"not (1)324-OK: {_echo(q)}")
     minima: list[int] = []
     tails: list[list[int]] = []
     floor = len(q) + 1

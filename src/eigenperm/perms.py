@@ -76,10 +76,16 @@ def as_perm(word: Iterable[int]) -> Perm:
     p = tuple(word)
     for e in p:
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise InvalidInputError(f"entries must be positive integers, got {p!r}")
+            raise InvalidInputError(f"entries must be positive integers, got {_echo(p)}")
     if len(set(p)) != len(p):
-        raise InvalidInputError(f"entries must be distinct, got {p!r}")
+        raise InvalidInputError(f"entries must be distinct, got {_echo(p)}")
     return p
+
+
+def _echo(value: object) -> str:
+    # How a diagnostic quotes a caller's value: its repr, cut to 60 characters.
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _checked_size(value: object, name: str, least: int = 0) -> int:
@@ -88,7 +94,7 @@ def _checked_size(value: object, name: str, least: int = 0) -> int:
         return value
     kinds = {0: "a nonnegative integer", 1: "a positive integer"}
     kind = kinds.get(least, f"an integer of at least {least}")
-    raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
+    raise InvalidInputError(f"{name} must be {kind}, got {_echo(value)}")
 
 
 def _within_limit(what: str, n: int, limit: int) -> None:
@@ -248,7 +254,7 @@ def _move(name: str, p: Perm) -> Perm:
 def _checked_standard(p: Iterable[int]) -> Perm:
     q = as_perm(p)
     if not is_standard(q):
-        raise InvalidInputError(f"a standard permutation is required, got {q!r}")
+        raise InvalidInputError(f"a standard permutation is required, got {_echo(q)}")
     return q
 
 
@@ -256,7 +262,7 @@ def _generator_list(g: str | Iterable[str]) -> tuple[str, ...]:
     names = tuple(g.split()) if isinstance(g, str) else tuple(g)
     for name in names:
         if name not in GENERATORS:
-            raise InvalidInputError(f"unknown symmetry generator {name!r}")
+            raise InvalidInputError(f"unknown symmetry generator {_echo(name)}")
     return names
 
 
@@ -289,7 +295,7 @@ class UnderlinedPattern:
         object.__setattr__(self, "full", _checked_standard(self.full))
         _checked_size(self.mark, "mark position", 1)
         if self.mark > len(self.full):
-            raise InvalidInputError(f"mark position {self.mark!r} out of range for {self.full!r}")
+            raise InvalidInputError(f"mark position {self.mark!r} out of range for {_echo(self.full)}")
 
     @cached_property
     def base(self) -> Perm:
@@ -331,9 +337,9 @@ def parse_pattern(text: str) -> UnderlinedPattern:
         ch = s[i]
         if ch == "(":
             if mark is not None:
-                raise InvalidInputError(f"more than one marked letter in {text!r}")
+                raise InvalidInputError(f"more than one marked letter in {_echo(text)}")
             if i + 2 >= len(s) or not ("0" <= s[i + 1] <= "9") or s[i + 2] != ")":
-                raise InvalidInputError(f"malformed mark in {text!r}")
+                raise InvalidInputError(f"malformed mark in {_echo(text)}")
             letters.append(int(s[i + 1]))
             mark = len(letters)
             i += 3
@@ -343,9 +349,9 @@ def parse_pattern(text: str) -> UnderlinedPattern:
         elif ch.isspace():
             i += 1
         else:
-            raise InvalidInputError(f"unexpected character {ch!r} in pattern {text!r}")
+            raise InvalidInputError(f"unexpected character {ch!r} in pattern {_echo(text)}")
     if mark is None:
-        raise InvalidInputError(f"no marked letter in {text!r}")
+        raise InvalidInputError(f"no marked letter in {_echo(text)}")
     return UnderlinedPattern(tuple(letters), mark)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .perms import InvalidInputError, _checked_size
+from .perms import InvalidInputError, _checked_size, _echo
 
 __all__ = ["PowerSeries", "compose", "eigensequence", "verify_shift"]
 
@@ -26,7 +26,7 @@ class PowerSeries:
             raise InvalidInputError("a series needs at least the x^1 coefficient")
         for c in self.coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
-                raise InvalidInputError(f"coefficients must be ints, got {c!r}")
+                raise InvalidInputError(f"coefficients must be ints, got {_echo(c)}")
 
     @property
     def order(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bijection import MarkedPermutation, StarredPermutation
-from .perms import InvalidInputError, Perm, as_perm
+from .perms import InvalidInputError, Perm, _echo, as_perm
 
 __all__ = [
     "format_marked",
@@ -26,11 +26,11 @@ __all__ = [
 
 def _int_token(token: str, text: str) -> int:
     if not (token.isascii() and token.isdigit()):
-        raise InvalidInputError(f"bad entry {token!r} in {text!r}")
+        raise InvalidInputError(f"bad entry {_echo(token)} in {_echo(text)}")
     try:
         return int(token)
     except ValueError:  # past the interpreter's int-from-str digit limit
-        raise InvalidInputError(f"entry {token[:20]}... has {len(token)} digits, too many to read") from None
+        raise InvalidInputError(f"entry {_echo(token)} has {len(token)} digits, too many to read") from None
 
 
 def parse_perm(text: str) -> Perm:
@@ -75,7 +75,7 @@ def parse_starred(text: str) -> StarredPermutation:
     # An empty base has top_at -1: bare stars sit after its absent maximum.
     top_at = entries.index(max(entries)) if entries else -1
     if runs[-1] and top_at != len(entries) - 1:
-        raise InvalidInputError(f"trailing stars must follow the maximum in {text!r}")
+        raise InvalidInputError(f"trailing stars must follow the maximum in {_echo(text)}")
     after = runs[top_at + 1]
     runs[top_at + 1] = 0
     return StarredPermutation(tuple(entries), tuple(runs[:-1]), after)

@@ -129,6 +129,6 @@ SUITES = tuple(_SUITES)
 
 def run_suite(name: str, max_n: int) -> list[CheckResult]:
     if name not in _SUITES:
-        raise perms.InvalidInputError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise perms.InvalidInputError(f"unknown suite {perms._echo(name)}; choose from {SUITES}")
     perms._checked_size(max_n, "max_n")
     return [result for suite in _SUITES[name] for result in suite(max_n)]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +19,9 @@ from eigenperm import (
     lit_entries,
     list_to_marked,
     marked_to_list,
+    parse_pattern,
     reduce_word,
+    satisfies,
     sort_factor_tails,
     split_at_max_ok,
     star_decode,
@@ -173,6 +177,26 @@ def test_window_plan_worked_example():
     assert spans[-1] == (23, 30)
 
 
+def test_every_small_window_plan_is_pinned():
+    # Every marked 321-avoider of length 1..8 (8,788 plans), hashed.
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for p in itertools.permutations(range(1, n + 1)):
+            if not _avoids_321(p):
+                continue
+            free = sorted(set(lit_entries(p)) - {n})
+            for r in range(len(free) + 1):
+                for marks in itertools.combinations(free, r):
+                    pl = window_plan(p, marks)
+                    digest.update(repr((
+                        p, marks, pl.pane_spans, pl.initial_starts,
+                        pl.associations, pl.insertion, pl.rows,
+                    )).encode())
+    assert digest.hexdigest() == (
+        "02c75d10467966a899c38036129be069a2e618796018a4d6eb02fd87045d7841"
+    )
+
+
 def test_window_forward_worked_example():
     got = window_forward(MarkedPermutation(P30, P30_MARKS))
     assert got == P30_LIST
@@ -272,6 +296,83 @@ def test_marked_list_round_trip_exhaustive(ok_perms):
                 assert list_to_marked(items) == marked
                 assert items not in seen
                 seen.add(items)
+
+
+def _slot_lists(total, k, ok_perms, least=0):
+    # Every k-tuple of class members of size >= least, sizes summing to total.
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for size in range(least, total + 1):
+        for head in ok_perms[size]:
+            for rest in _slot_lists(total - size, k - 1, ok_perms, least):
+                yield (head, *rest)
+
+
+def test_list_to_marked_is_onto_small_lists(ok_perms):
+    # Every list of nonempty class members of total size <= 7 comes back.
+    count = 0
+    for total in range(1, 8):
+        for k in range(1, total + 1):
+            for items in _slot_lists(total, k, ok_perms, least=1):
+                assert marked_to_list(list_to_marked(items)) == items
+                count += 1
+    assert count == 7204
+
+
+def test_eigen_compose_is_onto_the_class(ok_perms):
+    # Every (rho, slots) pair of composed size n <= 7 decomposes back, and
+    # the images cover each ok_perms[n] exactly.
+    count = 0
+    for n in range(1, 8):
+        image = set()
+        for k in range(1, n + 1):
+            for rho in ok_perms[k - 1]:
+                for slots in _slot_lists(n - k, k, ok_perms):
+                    p = eigen_compose(rho, slots)
+                    assert eigen_decompose(p) == (rho, slots)
+                    image.add(p)
+                    count += 1
+        assert image == set(ok_perms[n])
+    assert count == 3649
+
+
+def _random_member(n, rng):
+    # A class member of length n composed from random smaller members.
+    if n == 0:
+        return ()
+    k = rng.randint(1, n)
+    cuts = sorted(rng.randint(0, n - k) for _ in range(k - 1))
+    sizes = [b - a for a, b in itertools.pairwise((0, *cuts, n - k))]
+    return eigen_compose(_random_member(k - 1, rng), [_random_member(s, rng) for s in sizes])
+
+
+@pytest.mark.parametrize("n", [50, 100, 200, 300])
+def test_round_trips_on_large_composed_members(n):
+    rng = random.Random(n)
+    for _ in range(10):
+        p = _random_member(n, rng)
+        assert len(p) == n and fast_35241ok(p)
+        assert eigen_compose(*eigen_decompose(p)) == p
+        free = sorted(set(lit_entries(p)) - {n})
+        marked = MarkedPermutation(p, frozenset(rng.sample(free, rng.randint(0, len(free)))))
+        assert list_to_marked(marked_to_list(marked)) == marked
+
+
+def test_recogniser_matches_definition_past_exhaustive_range():
+    # Members of length 10..30 and one random transposition of each, most
+    # of which leave the class.
+    rng = random.Random(35241)
+    up = parse_pattern("3(5)241")
+    for _ in range(60):
+        n = rng.randint(10, 30)
+        p = _random_member(n, rng)
+        i, j = rng.sample(range(n), 2)
+        q = list(p)
+        q[i], q[j] = q[j], q[i]
+        for word in (p, tuple(q)):
+            assert fast_35241ok(word) == satisfies(word, up)
 
 
 def test_list_to_marked_validates():

@@ -40,3 +40,21 @@ def test_malformed_text_exits_with_one_diagnostic(capsys, template, fragment):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(("invalid input: ", "limit exceeded: "))
+
+
+LONG_INPUTS = {
+    "bad token after 2000 entries": ("eigen", "decompose", "--input", " ".join(map(str, range(2000, 0, -1))) + " x"),
+    "non-member of length 3000": ("eigen", "decompose", "--input", "3 2 4 1 " + " ".join(map(str, range(5, 3001)))),
+    "pattern with 5000 nines": ("count", "--n", "5", "--pattern", "3(5)24" + "9" * 5000),
+}
+
+
+@pytest.mark.parametrize("argv", list(LONG_INPUTS.values()), ids=list(LONG_INPUTS))
+def test_long_input_gets_a_short_diagnostic(capsys, argv):
+    # A diagnostic quotes at most a short slice of the caller's input.
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 300
+    assert captured.err.rstrip("\n").endswith("...")

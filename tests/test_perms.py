@@ -300,3 +300,13 @@ def test_fast_35241ok_spot_checks():
     assert not fast_35241ok((3, 4, 2, 5, 1))
     assert not fast_35241ok((3, 2, 4, 1))
     assert fast_35241ok((2, 8, 3, 1, 9, 4, 6, 5, 10, 7))
+
+
+def test_diagnostics_quote_short_values_whole_and_cut_long_ones():
+    with pytest.raises(InvalidInputError, match=r"^entries must be distinct, got \(1, 1\)$"):
+        as_perm((1, 1))
+    with pytest.raises(InvalidInputError) as info:
+        as_perm([1] * 1000)
+    quoted = str(info.value).removeprefix("entries must be distinct, got ")
+    assert len(quoted) == 60 and quoted.endswith("...")
+    assert quoted[:57] == repr(tuple([1] * 1000))[:57]
