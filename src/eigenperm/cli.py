@@ -11,13 +11,15 @@ Subcommands::
 
 Results go to standard output; diagnostics go to standard error.  Exit
 status is 0 on success, 1 on a failed verification, 2 on invalid input,
-and 3 when an enumeration limit is exceeded.
+and 3 when an enumeration limit is exceeded.  Through ``main``, a closed
+output pipe ends the process by SIGPIPE, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from collections.abc import Sequence
 
@@ -221,6 +223,10 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # A reader that goes away, as in ``eigenperm classify4 | head -3``, ends
+    # the process silently, as it ends ``cat``, where the platform has SIGPIPE.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run(sys.argv[1:] if argv is None else argv)
 
 

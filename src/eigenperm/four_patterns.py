@@ -14,6 +14,7 @@ non-Catalan classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,12 +28,12 @@ from .perms import (
     UnderlinedPattern,
     _checked_size,
     _checked_standard,
+    _class_counts,
     _echo,
     _lrmax_factors,
     _satisfies,
     _within_limit,
     apply_pattern_symmetry,
-    census,
     parse_pattern,
 )
 from .recurrences import bell_numbers, catalan_numbers
@@ -101,14 +102,15 @@ def pattern_orbit(up: UnderlinedPattern) -> frozenset[UnderlinedPattern]:
 def classify(max_n: int = 7) -> list[PatternClass]:
     """Partition the 96 patterns into orbits and label each by its counts.
 
-    Counts for n = 0..max_n are matched against the four reference
+    Counts for n = 0..max_n, the values of ``census``, are grown on a
+    generating tree of each class and matched against the four reference
     sequences; an orbit is trivial when it is labelled Catalan, as every
     3-letter base has C_n avoiders (Simion-Schmidt).  Disagreements within
     an orbit, or an unmatched orbit, raise ClassificationError.  The
     references agree through n = 4 (bell, a051295 and new4 all read
     1, 1, 2, 5, 15), so ``max_n`` below 5 raises InvalidInputError;
     ``max_n`` past the census limit raises ResourceLimitError before any
-    census runs.
+    counting.
     """
     _checked_size(max_n, "max_n, to reach where the reference sequences differ,", 5)
     _within_limit("census", max_n, CENSUS_LIMIT)
@@ -119,7 +121,7 @@ def classify(max_n: int = 7) -> list[PatternClass]:
         "a051295": tuple(a051295_terms(max_n)),
         "new4": tuple(new4_terms(max_n)),
     }
-    counts = {up: tuple(census(up, i) for i in range(max_n + 1)) for up in patterns}
+    counts = {up: _class_counts(up, max_n) for up in patterns}
     classes = []
     assigned: set[UnderlinedPattern] = set()
     for up in patterns:
@@ -262,8 +264,15 @@ def count_1342ok_by_position(n: int, k: int) -> int:
     _checked_size(k, "k", 1)
     if k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
+    return _1342ok_column(n)[k - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _1342ok_column(n: int) -> list[int]:
+    # Column n of the power table of B = sum_i (i-1)! x^i, kept for the
+    # callers that read every k at one n.
     *_, column = _power_columns([math.factorial(i) for i in range(n)])
-    return column[k - 1]
+    return column
 
 
 def new4_terms(n_max: int) -> list[int]:

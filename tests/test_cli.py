@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
 
 import pytest
 
+import eigenperm
 from eigenperm import (
     eigen_compose,
     eigen_decompose,
@@ -13,6 +18,7 @@ from eigenperm import (
     four_patterns,
     parse_pattern,
     parse_perm_list,
+    perms,
     recurrences,
     series,
     verify,
@@ -171,11 +177,20 @@ def test_classify4_table(capsys):
 
 def test_classify4_refuses_depths_past_the_census_limit(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("classify4 ran a census past the limit")
+        raise AssertionError("classify4 counted past the limit")
 
-    monkeypatch.setattr(four_patterns, "census", refuse)
+    monkeypatch.setattr(perms, "census", refuse)
+    monkeypatch.setattr(four_patterns, "_class_counts", refuse)
     code, out, err = invoke(capsys, "classify4", "--max-n", "11")
     assert code == 3 and out == "" and "limit exceeded" in err
+
+
+def test_classify4_json_at_depth_8_is_pinned(capsys):
+    # The digest of the output that the brute census gave before the tree.
+    code, out, err = invoke(capsys, "classify4", "--max-n", "8", "--json")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "44c4e519bf9428071a9687f2193b7849e85d0608bc31dc7337f57a657f75d0c6"
 
 
 def test_classify4_refuses_depths_where_references_agree(capsys):
@@ -262,6 +277,22 @@ def test_unknown_flag_exits_nonzero(capsys):
 def test_main_wraps_run(capsys):
     assert main(["seq", "eigen", "--n", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_main_ends_quietly_when_the_reader_goes_away():
+    # ``eigenperm seq bell --n 2000 | head -c 10``: the reader takes 10 of
+    # about 4 MB and closes the pipe while the writer still has more.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eigenperm.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "eigenperm.cli", "seq", "bell", "--n", "2000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b"1 2 5 15 5"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, -signal.SIGPIPE)
+    assert b"Traceback" not in err, err
 
 
 

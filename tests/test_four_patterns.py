@@ -26,6 +26,7 @@ from eigenperm import (
     parse_pattern,
     patience_ok,
     pattern_orbit,
+    perms,
     satisfies,
     to_partition_decreasing,
     to_partition_increasing,
@@ -102,11 +103,12 @@ def test_classify_structure(pattern_census_table):
 
 
 def test_classify_respects_census_limit(monkeypatch):
-    # The depth is refused before any census runs.
+    # The depth is refused before any counting, by census or by the tree.
     def refuse(*args):
-        raise AssertionError("classify ran a census past the limit")
+        raise AssertionError("classify counted past the limit")
 
-    monkeypatch.setattr(four_patterns, "census", refuse)
+    monkeypatch.setattr(perms, "census", refuse)
+    monkeypatch.setattr(four_patterns, "_class_counts", refuse)
     with pytest.raises(ResourceLimitError):
         classify(max_n=11)
 

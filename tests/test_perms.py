@@ -18,6 +18,7 @@ from eigenperm import (
     census,
     complement,
     contains,
+    eigensequence,
     fast_35241ok,
     format_pattern,
     invert,
@@ -31,6 +32,7 @@ from eigenperm import (
     reverse,
     satisfies,
 )
+from eigenperm.perms import _class_counts
 
 words = st.lists(st.integers(1, 50), max_size=9, unique=True).map(tuple)
 small_perms = st.integers(0, 7).flatmap(
@@ -276,6 +278,22 @@ def test_census_values_and_limit():
         census(up, 11)
     with pytest.raises(InvalidInputError):
         census(up, -1)
+
+
+def test_class_tree_matches_census():
+    # The generating tree against the definition on all 96 marked
+    # 4-patterns, the 24 marked last (grown through their reverse) included.
+    from eigenperm import all_underlined4
+
+    patterns = all_underlined4()
+    assert sum(up.mark == 4 for up in patterns) == 24
+    for up in patterns:
+        assert _class_counts(up, 7) == tuple(census(up, n) for n in range(8)), up
+
+
+def test_class_tree_counts_3_5_241_to_length_9():
+    # Term n of the shifted eigensequence counts the class at length n.
+    assert _class_counts(parse_pattern("3(5)241"), 9) == tuple(eigensequence(10))
 
 
 def test_single_letter_pattern_means_nonempty():
