@@ -41,7 +41,8 @@ _FAST_PATTERN = parse_pattern("3(5)241")
 
 # name -> (its first n terms, the largest n accepted).  The routes cost
 # O(n^2)-O(n^3) big-integer operations on operands that grow with n; at its
-# ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs).  Routes
+# ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs), "a" about
+# 10-11 s and "eigen" about 6-7 s.  Routes
 # are looked up at call time, so a patched or traced attribute is the one run.
 _SEQUENCES = {
     "eigen": (lambda n: series.eigensequence(n), 400),

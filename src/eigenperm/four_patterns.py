@@ -113,7 +113,7 @@ def classify(max_n: int = 7) -> list[PatternClass]:
     counting.
     """
     _checked_size(max_n, "max_n, to reach where the reference sequences differ,", 5)
-    _within_limit("census", max_n, CENSUS_LIMIT)
+    _within_limit("classify", max_n, CENSUS_LIMIT)
     patterns = all_underlined4()
     refs = {
         "catalan": tuple(catalan_numbers(max_n)),

@@ -254,7 +254,8 @@ def _move(name: str, p: Perm) -> Perm:
 
 def _checked_standard(p: Iterable[int]) -> Perm:
     q = as_perm(p)
-    if not is_standard(q):
+    # Distinct positive ints are exactly 1..len(q) when the largest is len(q).
+    if q and max(q) != len(q):
         raise InvalidInputError(f"a standard permutation is required, got {_echo(q)}")
     return q
 

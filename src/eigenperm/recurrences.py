@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence
 
 from .perms import InvalidInputError, _checked_size, _within_limit
@@ -68,20 +70,20 @@ def recurrence_tables(n_max: int) -> RecurrenceTables:
     a = [1]
     c = [1]
     rows: list[tuple[int, ...]] = []
-    suffix: list[list[int]] = []
+    # diag[d] lists S_{m,m-d} = sum_{j>=m-d} a_{m,j} for m = d+1, d+2, ...
+    # a_{n,k} reads S_{n-1-i,k-i} for i < k, all on diagonal d = n-1-k,
+    # which after row n-1 holds exactly those k sums, the one for i = 0 last.
+    diag: list[list[int]] = []
     for n in range(1, n_max + 1):
         if n >= 2:
-            prev = rows[n - 2]
-            c.append(sum(i * prev[i - 1] for i in range(1, n)))
-        a.append(sum(a[i] * c[n - i - 1] for i in range(n)))
-        # suffix[m-1][j] sums a_{m,j..m}; here m = n-1-i and 1 <= k-i <= m.
-        row = [sum(a[i] * suffix[n - 2 - i][k - i] for i in range(k)) for k in range(1, n)]
+            c.append(sum(map(mul, range(1, n), rows[n - 2])))
+        a.append(sum(map(mul, a, reversed(c))))
+        row = [sum(map(mul, a, reversed(diag[n - 1 - k]))) for k in range(1, n)]
         row.append(a[n - 1])
         rows.append(tuple(row))
-        suf = [0] * (n + 2)
-        for j in range(n, 0, -1):
-            suf[j] = suf[j + 1] + row[j - 1]
-        suffix.append(suf)
+        diag.append([])
+        for d, total in enumerate(accumulate(reversed(row))):
+            diag[d].append(total)
     return RecurrenceTables(tuple(a), tuple(c), tuple(rows))
 
 

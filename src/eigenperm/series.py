@@ -7,6 +7,7 @@ Series here have zero constant term: ``coeffs[i]`` is the coefficient of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .perms import InvalidInputError, _checked_size, _echo
@@ -48,13 +49,14 @@ def _power_columns(b: Sequence[int]) -> Iterator[list[int]]:
     b_1..b_m, so a caller may append b_(m+1) to ``b`` before asking for
     the next column; the columns run out when ``b`` does.
     """
-    cols: list[list[int]] = []
-    while len(cols) < len(b):
-        m = len(cols) + 1
-        col = [b[m - 1]]
-        for k in range(2, m + 1):
-            col.append(sum(bj * c[k - 2] for bj, c in zip(b[: m - k + 1], reversed(cols))))
-        cols.append(col)
+    # rows[k-1] lists [x^m] B^k for m = k, k+1, ...; until column m is
+    # added, row k-1 ends at x^(m-1), so b_1 pairs with its last entry.
+    rows: list[list[int]] = []
+    while len(rows) < len(b):
+        col = [b[len(rows)]] + [sum(map(mul, b, reversed(row))) for row in rows]
+        rows.append([])
+        for row, entry in zip(rows, col):
+            row.append(entry)
         yield col
 
 
@@ -71,7 +73,7 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         )
     a = outer.coeffs
     return PowerSeries(
-        tuple(sum(ak * p for ak, p in zip(a, col)) for col in _power_columns(inner.coeffs))
+        tuple(sum(map(mul, a, col)) for col in _power_columns(inner.coeffs))
     )
 
 
@@ -86,7 +88,7 @@ def eigensequence(order: int) -> list[int]:
     b = [1]
     columns = _power_columns(b)
     while len(b) < order:
-        b.append(sum(bk * p for bk, p in zip(b, next(columns))))
+        b.append(sum(map(mul, b, next(columns))))
     return b
 
 

@@ -15,7 +15,7 @@ from . import bijection, four_patterns, perms, recurrences, series
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 # The largest max_n the recurrences checks accept: their routes at order
-# max_n + 2 take about 15 s together there (Python 3.11, 2 vCPUs).  The
+# max_n + 2 take about 12-13 s together there (Python 3.11, 2 vCPUs).  The
 # other checks cap their own sizes.
 RECURRENCES_LIMIT = 350
 

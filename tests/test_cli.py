@@ -182,7 +182,10 @@ def test_classify4_refuses_depths_past_the_census_limit(capsys, monkeypatch):
     monkeypatch.setattr(perms, "census", refuse)
     monkeypatch.setattr(four_patterns, "_class_counts", refuse)
     code, out, err = invoke(capsys, "classify4", "--max-n", "11")
-    assert code == 3 and out == "" and "limit exceeded" in err
+    assert code == 3 and out == ""
+    # classify counts on a generating tree, so the refusal names it, not census.
+    assert err == "limit exceeded: classify at n=11 exceeds the limit 10\n"
+    assert "census" not in err
 
 
 def test_classify4_json_at_depth_8_is_pinned(capsys):

@@ -32,7 +32,7 @@ from eigenperm import (
     reverse,
     satisfies,
 )
-from eigenperm.perms import _class_counts
+from eigenperm.perms import _checked_standard, _class_counts
 
 words = st.lists(st.integers(1, 50), max_size=9, unique=True).map(tuple)
 small_perms = st.integers(0, 7).flatmap(
@@ -79,6 +79,25 @@ def test_is_standard():
     assert is_standard(())
     assert is_standard((2, 1, 3))
     assert not is_standard((2, 1, 4))
+
+
+def test_checked_standard_agrees_with_as_perm_and_is_standard():
+    def reference(word):
+        q = as_perm(word)
+        if not is_standard(q):
+            raise InvalidInputError(f"a standard permutation is required, got {q!r}")
+        return q
+
+    def outcome(check, word):
+        try:
+            return check(word)
+        except InvalidInputError as exc:
+            return str(exc)
+
+    words = [w for n in range(6) for w in itertools.product(range(1, 6), repeat=n)]
+    words += [(True,), (1, True), (0,), (2, 0, 1), (1, 1), (2, 1, 2)]
+    for word in words:
+        assert outcome(_checked_standard, word) == outcome(reference, word), word
 
 
 def test_reduce_word_examples():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import math
 
@@ -44,6 +45,33 @@ def test_tables_match_eigensequence():
     t = recurrence_tables(20)
     assert list(t.a) == eigensequence(21)[:21]
     assert list(recurrence_tables(119).a) == eigensequence(120)
+
+
+def test_tables_match_their_formulas_read_literally():
+    # a_n, c_n and a_{n,k} straight from the docstring, indexed by n, k, i, j.
+    n_max = 40
+    a, c, tri = {0: 1}, {1: 1}, {}
+    for n in range(1, n_max + 1):
+        if n >= 2:
+            c[n] = sum(i * tri[n - 1, i] for i in range(1, n))
+        a[n] = sum(a[i] * c[n - i] for i in range(n))
+        for k in range(1, n):
+            tri[n, k] = sum(
+                a[i] * sum(tri[n - 1 - i, j] for j in range(k - i, n - i)) for i in range(k)
+            )
+        tri[n, n] = a[n - 1]
+    t = recurrence_tables(n_max)
+    assert t.a == tuple(a[n] for n in range(n_max + 1))
+    assert t.ascent_start == tuple(c[n] for n in range(1, n_max + 1))
+    assert t.by_first == tuple(
+        tuple(tri[n, k] for k in range(1, n + 1)) for n in range(1, n_max + 1)
+    )
+
+
+def test_tables_at_120_are_pinned():
+    # The digest of the tables that the row-indexed triangle gave.
+    digest = hashlib.sha256(repr(recurrence_tables(120)).encode()).hexdigest()
+    assert digest == "743e5fd603821d4cc90d1c157e100c9e754616d4e5516f1cce4032cd5804fc59"
 
 
 def test_tables_validation():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eigenperm import InvalidInputError, PowerSeries, compose, eigensequence, verify_shift
+from eigenperm.series import _power_columns
 
 coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=7)
 
@@ -66,6 +69,30 @@ def test_compose_is_associative_on_truncations(a, b, c):
     pb = PowerSeries(tuple(b[:order]))
     pc = PowerSeries(tuple(c[:order]))
     assert compose(compose(pa, pb), pc) == compose(pa, compose(pb, pc))
+
+
+def test_power_columns_grow_online_as_naive_powers():
+    # Fed one term per column, as eigensequence feeds it, column m must be
+    # [x^m] B^k for k = 1..m with B the final list, powered by schoolbook.
+    rng = random.Random(9)
+    for _ in range(40):
+        final = [rng.choice((0, 0, 1, -1, rng.randint(-50, 50))) for _ in range(rng.randint(1, 25))]
+        b = final[:1]
+        columns = []
+        for col in _power_columns(b):
+            columns.append(col)
+            if len(b) < len(final):
+                b.append(final[len(b)])
+        order = len(final)
+        inner = [0] + final  # index i holds [x^i]
+        power = [1] + [0] * order
+        expected = [[] for _ in range(order)]
+        for _k in range(order):
+            power = [sum(power[j] * inner[i - j] for j in range(i + 1)) for i in range(order + 1)]
+            for m in range(1, order + 1):
+                if len(expected[m - 1]) < m:
+                    expected[m - 1].append(power[m])
+        assert columns == expected
 
 
 def test_eigensequence_frozen_prefix():
