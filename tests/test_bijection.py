@@ -298,6 +298,22 @@ def test_marked_list_round_trip_exhaustive(ok_perms):
                 seen.add(items)
 
 
+def test_every_small_marked_to_list_image_is_pinned(ok_perms):
+    # Round trips pass when both maps change together; this pins the
+    # images themselves: every marked member of length 1..7 (7,204 pairs).
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for p in ok_perms[n]:
+            free = sorted(set(lit_entries(p)) - {n})
+            for r in range(len(free) + 1):
+                for marks in itertools.combinations(free, r):
+                    items = marked_to_list(MarkedPermutation(p, frozenset(marks)))
+                    digest.update(repr((p, marks, items)).encode())
+    assert digest.hexdigest() == (
+        "dd41a0f942d371e0fceeb9cee6d4966d97cb6d98e1d83e8d2a9ebc2ff4d46905"
+    )
+
+
 def _slot_lists(total, k, ok_perms, least=0):
     # Every k-tuple of class members of size >= least, sizes summing to total.
     if k == 0:
@@ -409,6 +425,18 @@ def test_eigen_round_trip_exhaustive(ok_perms):
             assert len(rho) == len(v) - 1
             assert sum(len(it) for it in v) == n - len(v)
             assert eigen_compose(rho, v) == p
+
+
+def test_every_small_eigen_decomposition_is_pinned():
+    # Every member of length 1..8 (21,758), hashed with its image.
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for p in itertools.permutations(range(1, n + 1)):
+            if fast_35241ok(p):
+                digest.update(repr((p, eigen_decompose(p))).encode())
+    assert digest.hexdigest() == (
+        "88ef6c90d5b0b074d54d8db88de3f5c5a12c3bd58fc86252acb929a1805e7f74"
+    )
 
 
 def test_eigen_compose_is_injective_onto_class(ok_perms):
