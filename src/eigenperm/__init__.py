@@ -7,89 +7,12 @@ generating series shifts left under self-composition, and classifies all
 96 single-marked patterns on four letters by their counting sequences.
 """
 
-from .bijection import (
-    MarkedPermutation,
-    StarredPermutation,
-    WindowPlan,
-    collapse_stars,
-    eigen_compose,
-    eigen_decompose,
-    expand_stars,
-    list_to_marked,
-    marked_to_list,
-    sort_factor_tails,
-    split_at_max_ok,
-    star_decode,
-    star_encode,
-    window_forward,
-    window_inverse,
-    window_plan,
-)
-from .four_patterns import (
-    ClassificationError,
-    PatternClass,
-    SetPartition,
-    a051295_terms,
-    all_underlined4,
-    classification_report,
-    classify,
-    count_1342ok_by_position,
-    from_partition_decreasing,
-    from_partition_increasing,
-    new4_terms,
-    pattern_orbit,
-    patience_ok,
-    to_partition_decreasing,
-    to_partition_increasing,
-    wilf_map,
-)
-from .perms import (
-    GENERATORS,
-    InvalidInputError,
-    LRMaxFactorization,
-    Perm,
-    ResourceLimitError,
-    UnderlinedPattern,
-    apply_pattern_symmetry,
-    apply_symmetry,
-    as_perm,
-    census,
-    complement,
-    contains,
-    fast_35241ok,
-    format_pattern,
-    invert,
-    is_avoider,
-    is_standard,
-    lit_entries,
-    lrmax_factorize,
-    occurrences,
-    parse_pattern,
-    reduce_word,
-    reverse,
-    satisfies,
-)
-from .recurrences import (
-    RecurrenceTables,
-    bell_numbers,
-    catalan_via_compositions,
-    compositions,
-    counts_via_dominance,
-    dominance_count,
-    recurrence_tables,
-)
-from .series import PowerSeries, compose, eigensequence, verify_shift
-from .textforms import (
-    format_marked,
-    format_perm,
-    format_perm_list,
-    format_starred,
-    parse_marked,
-    parse_perm,
-    parse_perm_list,
-    parse_starred,
-)
-
-from .verify import SUITES, CheckResult, run_suite
+from .bijection import *
+from .four_patterns import *
+from .perms import *
+from .recurrences import *
+from .series import *
+from .textforms import *
+from .verify import *
 
 __version__ = "0.1.0"

@@ -3,17 +3,21 @@
 A class member p of length n splits at its maximum as sigma n tau.  The
 pipeline encodes tau's interleaving into stars on the reduced sigma
 (:func:`star_encode`), collapses star runs into marked LIT entries plus a
-bit sequence (:func:`collapse_stars`), sorts factor tails to reach a
-321-avoiding permutation, and rearranges the LRmax factors of that
-permutation into a list of shorter class members with a moving window
+bit sequence (:func:`collapse_stars`), and rearranges the LRmax factors
+into a list of shorter class members with a moving window
 (:func:`marked_to_list`).  Composing the stages maps p of length n to a
 pair (rho, v) -- a shorter class member and a list of class members --
 carrying total size n-1, which is exactly the structure behind the
 left-shift-under-composition recurrence.
 
-There is one window map: on 321-avoiders the tail sort changes nothing,
-so :func:`window_forward` and :func:`window_inverse` are
-:func:`marked_to_list` and :func:`list_to_marked` behind a 321 check.
+The paper sorts the factor tails (:func:`sort_factor_tails`) to reach a
+321-avoider, runs the window there and restores the tails.  Here the
+window runs on the member itself: each pane starts at an LRmax, so it is
+a union of whole factors, and the window reads only the LR maxima and
+their positions, the LIT entries and each pane's set of other entries,
+all of which the sort keeps.  So :func:`window_forward` and
+:func:`window_inverse` are :func:`marked_to_list` and
+:func:`list_to_marked` behind a 321 check.
 Public functions validate their arguments once; the private cores behind
 them pass standard permutations and ascending mark tuples to each other
 without checking again.  Every stage has an explicit inverse here, and
@@ -292,15 +296,8 @@ def sort_factor_tails(
     (3, 1, 2, 4)
     """
     factors = tuple(_lrmax_factors(_checked_standard(p)))
-    return MarkedPermutation(_sort_tails(factors), frozenset(marks)), factors
-
-
-def _sort_tails(factors: Iterable[tuple[int, Perm]]) -> Perm:
-    q: list[int] = []
-    for head, tail in factors:
-        q.append(head)
-        q.extend(sorted(tail))
-    return tuple(q)
+    q = tuple(itertools.chain.from_iterable((head, *sorted(tail)) for head, tail in factors))
+    return MarkedPermutation(q, frozenset(marks)), factors
 
 
 @dataclass(frozen=True)
@@ -360,9 +357,10 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
 
 
 def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
-    # qq: a nonempty 321-avoiding permutation; marks: ascending.  The window
-    # holds (loose max, row) per pane, leftmost first: initial pane r is
-    # row r, and a pane a step creates takes the row of the pane it drops.
+    # qq: a nonempty class member, whose factor tails need no sorting (see
+    # the module docstring); marks: ascending.  The window holds (loose
+    # max, row) per pane, leftmost first: initial pane r is row r, and a
+    # pane a step creates takes the row of the pane it drops.
     n = len(qq)
     pos_of = {v: i for i, v in enumerate(qq)}
     starts = sorted({pos_of[_lit(qq)[0]]} | {pos_of[e + 1] for e in marks})
@@ -405,8 +403,8 @@ def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
 def window_forward(marked: MarkedPermutation) -> tuple[Perm, ...]:
     """Rearrange a 321-avoiding marked permutation into a (marks+1)-list.
 
-    This is :func:`marked_to_list` on 321-avoiders, where the tail sort
-    changes nothing; other permutations are rejected.
+    This is :func:`marked_to_list` on 321-avoiders; other permutations
+    are rejected.
 
     >>> window_forward(MarkedPermutation((1, 2, 3)))
     ((1, 2, 3),)
@@ -419,10 +417,9 @@ def window_forward(marked: MarkedPermutation) -> tuple[Perm, ...]:
 def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
     """Map a marked class member to a list of class members.
 
-    Factor tails are sorted to reach the 321-avoiding case, the window
-    plan is computed there, and the original tails are restored inside
-    each pane before reducing (boundaries are unchanged by the sort).
-    Row r of the window plan names the panes whose concatenation, reduced,
+    The window plan of p equals that of its tail-sorted, 321-avoiding
+    form, as it reads only what the sort keeps (see the module docstring).
+    Row r of the plan names the panes of p whose concatenation, reduced,
     becomes item r.
     """
     p = marked.perm
@@ -434,11 +431,9 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
 
 
 def _to_list(p: Perm, marks: tuple[int, ...]) -> tuple[Perm, ...]:
-    # p: a nonempty class member; marks: ascending.  Its tail-sorted form
-    # avoids 321 by construction, and each pane is read back from p.
-    q = _sort_tails(_lrmax_factors(p))
-    plan = _window_plan(q, marks)
-    span_by_head = {q[a]: (a, b) for a, b in plan.pane_spans}
+    # p: a nonempty class member; marks: ascending.
+    plan = _window_plan(p, marks)
+    span_by_head = {p[a]: (a, b) for a, b in plan.pane_spans}
     items = []
     for row in plan.rows:
         word: list[int] = []
@@ -470,16 +465,16 @@ def window_inverse(items: Iterable[Iterable[int]]) -> MarkedPermutation:
 def list_to_marked(items: Iterable[Iterable[int]]) -> MarkedPermutation:
     """Inverse of :func:`marked_to_list` on lists of class members.
 
-    The inverse window pass runs on the tail-sorted items.  LIT entries
+    The inverse window pass runs on the items themselves.  LIT entries
     take the top global values (last item first, right to left); the rest
     are dealt out in descending order to a queue of open items, first
     visited leftwards from the last.  A visit fills the largest blank
     entry while it is empaned or a left-to-right maximum, adds a pane for
     what it filled left of the item's panes, and sends the item to the
     back; a visit that fills nothing closes the item.  The largest value
-    of each item but the last is a mark.  Each item's monotone
-    local-to-global value map then carries its original tails into the
-    assembled permutation.
+    of each item but the last is a mark.  A visit fills only entries in
+    or right of the item's panes, or LR maxima, so each pane starts at a
+    factor head and the pass reads only what the tail sort keeps.
     """
     return MarkedPermutation(*_from_list(_checked_items(items)))
 
@@ -495,19 +490,18 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
     blanks: list[deque[int]] = []
     panes: list[list[tuple[int, int]]] = []  # the initial pane first
     for it in reversed(items):
-        q = _sort_tails(_lrmax_factors(it))
-        where = [0] * len(q)
-        for x, v in enumerate(q):
+        where = [0] * len(it)
+        for x, v in enumerate(it):
             where[v - 1] = x
-        cut = len(q) - len(_lit(q))  # the values above cut are the LIT entries
-        vals = [0] * len(q)
+        cut = len(it) - len(_lit(it))  # the values above cut are the LIT entries
+        vals = [0] * len(it)
         for pos in reversed(where[cut:]):
             vals[pos] = b
             b -= 1
         values.append(vals)
-        masks.append(_lrmax_mask(q))
+        masks.append(_lrmax_mask(it))
         blanks.append(deque(reversed(where[:cut])))
-        panes.append([(where[cut], len(q))])
+        panes.append([(where[cut], len(it))])
     open_items = deque(range(len(items)))
     while b:
         if not open_items:
@@ -526,10 +520,8 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
         open_items.append(i)
     marks = sorted(max(vals) for vals in values[1:])
     chunks: list[tuple[int, ...]] = []
-    for it, vals, spans in zip(reversed(items), values, panes):
-        ascending = sorted(vals)
-        content = [ascending[v - 1] for v in it]
-        chunks.extend(tuple(content[a:z]) for a, z in spans)
+    for vals, spans in zip(values, panes):
+        chunks.extend(tuple(vals[a:z]) for a, z in spans)
     chunks.sort(key=lambda c: c[0])
     return tuple(itertools.chain.from_iterable(chunks)), tuple(marks)
 

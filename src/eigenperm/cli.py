@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_cls = sub.add_parser("classify4", help="classify the 96 marked 4-patterns")
-    p_cls.add_argument("--max-n", type=int, default=6, help="census depth")
+    p_cls.add_argument("--max-n", type=int, default=6, help="largest length counted")
     p_cls.add_argument("--json", action="store_true", help="JSON records")
     p_cls.set_defaults(func=_cmd_classify4)
 

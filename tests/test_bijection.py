@@ -30,7 +30,7 @@ from eigenperm import (
     window_inverse,
     window_plan,
 )
-from eigenperm.bijection import _avoids_321
+from eigenperm.bijection import _avoids_321, _window_plan
 
 # Length-15 class member whose post-maximum part has support {9, 10, 12, 14}.
 P15 = (2, 8, 3, 1, 11, 4, 6, 5, 13, 7, 15, 9, 10, 14, 12)
@@ -197,6 +197,18 @@ def test_every_small_window_plan_is_pinned():
     )
 
 
+def test_window_plan_ignores_factor_tail_order(ok_perms):
+    # The list maps run the window on the class member itself, which is
+    # sound because sorting the factor tails leaves the plan unchanged.
+    for n in range(1, 8):
+        for p in ok_perms[n]:
+            q = sort_factor_tails(p)[0].perm
+            free = sorted(set(lit_entries(p)) - {n})
+            for r in range(len(free) + 1):
+                for marks in itertools.combinations(free, r):
+                    assert _window_plan(p, marks) == _window_plan(q, marks)
+
+
 def test_window_forward_worked_example():
     got = window_forward(MarkedPermutation(P30, P30_MARKS))
     assert got == P30_LIST
@@ -277,8 +289,8 @@ def test_marked_to_list_requires_class_member():
 
 
 def test_marked_to_list_sorts_and_restores_tails():
-    # 4 2 1 5 3 has a decreasing factor tail, so the sorted route differs
-    # from the raw window route, but the output must reduce to members.
+    # 4 2 1 5 3 has a decreasing factor tail.  The window reads it as if
+    # sorted, the items keep it, and each must still reduce to a member.
     marked = MarkedPermutation((4, 2, 1, 5, 3), frozenset({4}))
     items = marked_to_list(marked)
     assert all(fast_35241ok(it) for it in items)

@@ -205,6 +205,15 @@ def test_classify4_refuses_depths_where_references_agree(capsys):
     assert "FAIL" not in out
 
 
+def test_classify4_help_does_not_describe_a_census(capsys):
+    # classify counts on a generating tree, not by a census of all n!.
+    with pytest.raises(SystemExit) as exc:
+        run(["classify4", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--max-n" in out
+    assert "census" not in out
+
+
 def test_biject_round_trip(capsys):
     code, out, _ = invoke(
         capsys, "biject", "forward", "--input", "5 1 2 8^ 3 6 4 9^ 7 10"
