@@ -373,17 +373,29 @@ def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
 
     spans = list(zip(starts, starts[1:] + [n]))
     window = deque((loose_max(*span), row) for row, span in enumerate(spans))
+    # The loose maxima that no pane to their left exceeds: non-decreasing,
+    # so the last is the window's maximum.
+    peaks: deque[int] = deque()
+    for pm, _ in window:
+        if not peaks or pm >= peaks[-1]:
+            peaks.append(pm)
     rows = [[qq[s]] for s in starts]
     left = starts[0]  # the LRmax entries left of it are not yet empaned
     assoc: list[int | None] = []
     while window:
-        _, row = window.pop()
-        m = max((pm for pm, _ in window), default=0)
+        pm, row = window.pop()
+        if peaks[-1] == pm:
+            peaks.pop()
+        m = peaks[-1] if peaks else 0
         choice = lrpos[bisect_right(lrvals, m)]
         if choice < left:
             assoc.append(qq[choice])
             rows[row].append(qq[choice])
-            window.appendleft((loose_max(choice, left), row))
+            pm = loose_max(choice, left)
+            while peaks and peaks[0] < pm:
+                peaks.popleft()
+            peaks.appendleft(pm)
+            window.appendleft((pm, row))
             spans.append((choice, left))
             left = choice
         else:

@@ -20,6 +20,7 @@ class.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -585,19 +586,34 @@ def fast_35241ok(p: Iterable[int]) -> bool:
 
 
 def _fast_ok(p: Sequence[int]) -> bool:
-    # An explicit stack of tails, so any nesting depth is fine.  The check
-    # only compares values, so tails need no reduction; words shorter than
-    # 4 are always in the class.
-    if len(p) < 4:
-        return True
-    stack = [p]
-    while stack:
-        prev_max = 0
-        for _, tail in _lrmax_factors(stack.pop()):
-            if tail:
-                if min(tail) < prev_max:
-                    return False
-                prev_max = max(tail)
-                if len(tail) >= 4:
-                    stack.append(tail)
+    # One pass over the next-greater-element forest.  The tail of a head is
+    # the stretch up to its next greater entry, and the heads of one
+    # segment (the word, or a tail) form a chain; the rule asks that every
+    # entry of a tail exceed acc, the largest tail entry of the earlier
+    # heads on its chain.  The stack holds the heads whose tails are open,
+    # so an entry lies in the tail of every head left on it once the
+    # smaller ones are popped.  Each head carries its floor: the largest
+    # acc of itself and the heads below it.  Only values are compared, so p
+    # need not be standard; the sentinel exceeds every entry.
+    heads = [math.inf]
+    floors = [0]
+    for v in p:
+        if heads[-1] > v:  # v starts a chain in the top head's tail
+            floor = floors[-1]
+        else:
+            # v closes the tail of each head it pops; the top one's is empty.
+            # The last head popped precedes v on its chain.  If its tail is
+            # empty, v takes its floor.  Otherwise v's floor is that tail's
+            # largest entry, the head popped just before it, which passed
+            # the check below against every floor under it.
+            prev = heads.pop()
+            floor = floors.pop()
+            while heads[-1] < v:
+                floor = prev
+                prev = heads.pop()
+                floors.pop()
+        if v < floors[-1]:
+            return False
+        heads.append(v)
+        floors.append(floor)
     return True

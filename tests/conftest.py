@@ -4,20 +4,20 @@ import itertools
 
 import pytest
 
-from eigenperm import all_underlined4, fast_35241ok, satisfies
+from eigenperm import all_underlined4, parse_pattern, satisfies
 
 
 @pytest.fixture(scope="session")
 def ok_perms():
-    """All 3-5-241-OK permutations keyed by length, for n = 0..7."""
-    table = {0: [()]}
-    for n in range(1, 8):
-        table[n] = [
-            p
-            for p in itertools.permutations(range(1, n + 1))
-            if fast_35241ok(p)
-        ]
-    return table
+    """All 3-5-241-OK permutations keyed by length, for n = 0..7.
+
+    Taken from the definition, so the recogniser is not its own oracle.
+    """
+    up = parse_pattern("3(5)241")
+    return {
+        n: [p for p in itertools.permutations(range(1, n + 1)) if satisfies(p, up)]
+        for n in range(8)
+    }
 
 
 @pytest.fixture(scope="session")

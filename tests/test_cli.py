@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -318,3 +319,21 @@ def test_deep_nesting_needs_no_recursion(capsys):
     code, out, err = invoke(capsys, "eigen", "decompose", "--input", " ".join(map(str, p)))
     assert (code, err) == (0, "")
     assert out.startswith(" ".join(map(str, p[1:])) + " ; ")
+
+
+def test_deep_inputs_of_length_50000_finish_in_bounded_time(capsys):
+    # Both round trips took about 2 s together on a 2-vCPU host; a pass
+    # that re-scans nested tails or the whole window per step takes minutes.
+    n = 50000
+    decreasing = " ".join(map(str, range(n, 0, -1)))
+    marked_identity = " ".join([f"{v}^" for v in range(1, n)] + [str(n)])
+    start = time.perf_counter()
+    for command, forward, inverse, text in (
+        ("eigen", "decompose", "compose", decreasing),
+        ("biject", "forward", "inverse", marked_identity),
+    ):
+        code, out, err = invoke(capsys, command, forward, "--input", text)
+        assert (code, err) == (0, "")
+        code, back, err = invoke(capsys, command, inverse, "--input", out.strip())
+        assert (code, err, back.strip()) == (0, "", text)
+    assert time.perf_counter() - start < 50

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from eigenperm import (
     GENERATORS,
     InvalidInputError,
+    MarkedPermutation,
     ResourceLimitError,
     UnderlinedPattern,
     apply_pattern_symmetry,
@@ -18,21 +20,25 @@ from eigenperm import (
     census,
     complement,
     contains,
+    eigen_compose,
+    eigen_decompose,
     eigensequence,
     fast_35241ok,
     format_pattern,
     invert,
     is_avoider,
     is_standard,
+    list_to_marked,
     lit_entries,
     lrmax_factorize,
+    marked_to_list,
     occurrences,
     parse_pattern,
     reduce_word,
     reverse,
     satisfies,
 )
-from eigenperm.perms import _checked_standard, _class_counts
+from eigenperm.perms import _checked_standard, _class_counts, _lrmax_factors
 
 words = st.lists(st.integers(1, 50), max_size=9, unique=True).map(tuple)
 small_perms = st.integers(0, 7).flatmap(
@@ -323,13 +329,77 @@ def test_single_letter_pattern_means_nonempty():
     assert census(lone, 3) == 6
 
 
-def test_fast_35241ok_matches_satisfies(ok_perms):
+def test_fast_35241ok_matches_satisfies():
     up = parse_pattern("3(5)241")
-    for n in range(7):
-        expected = set(ok_perms[n])
+    for n in range(9):
         for p in itertools.permutations(range(1, n + 1)):
-            assert fast_35241ok(p) == (p in expected)
-            assert satisfies(p, up) == (p in expected)
+            assert fast_35241ok(p) == satisfies(p, up), p
+
+
+def nested_tail_ok(p):
+    """The recogniser's rule applied literally: re-scan every nested tail."""
+    # An explicit stack of tails, so any nesting depth is fine.  The check
+    # only compares values, so tails need no reduction; words shorter than
+    # 4 are always in the class.
+    if len(p) < 4:
+        return True
+    stack = [p]
+    while stack:
+        prev_max = 0
+        for _, tail in _lrmax_factors(stack.pop()):
+            if tail:
+                if min(tail) < prev_max:
+                    return False
+                prev_max = max(tail)
+                if len(tail) >= 4:
+                    stack.append(tail)
+    return True
+
+
+def test_fast_35241ok_matches_the_nested_tail_rule_at_length_9():
+    members = 0
+    for p in itertools.permutations(range(1, 10)):
+        ok = fast_35241ok(p)
+        assert ok == nested_tail_ok(p), p
+        members += ok
+    assert members == eigensequence(10)[9]
+
+
+def nested_chain(n):
+    # Every level is two heads, 2 < top, with tails (1) and the next level.
+    word, lo, hi = [], 0, n
+    while hi - lo >= 3:
+        word += [lo + 2, lo + 1, hi]
+        lo, hi = lo + 2, hi - 1
+    word += range(hi, lo, -1)
+    return tuple(word)
+
+
+DEEP_FAMILIES = {
+    "decreasing": lambda n: tuple(range(n, 0, -1)),
+    "swapped_pairs": lambda n: tuple(v - (-1) ** v for v in range(1, n + 1)),  # 2 1 4 3 ...
+    "nested_chain": nested_chain,
+    "identity": lambda n: tuple(range(1, n + 1)),  # marked below at every LIT entry
+}
+
+
+@pytest.mark.parametrize("family", sorted(DEEP_FAMILIES))
+def test_deep_families_at_length_2000(family):
+    n = 2000
+    p = DEEP_FAMILIES[family](n)
+    assert sorted(p) == list(range(1, n + 1))
+    assert fast_35241ok(p) and nested_tail_ok(p)
+    # Transpositions, which mostly leave the class, against the rule.
+    rng = random.Random(family)
+    q = list(p)
+    for _ in range(5):
+        i, j = rng.sample(range(n), 2)
+        q[i], q[j] = q[j], q[i]
+        assert fast_35241ok(q) == nested_tail_ok(q)
+        q[i], q[j] = q[j], q[i]
+    assert eigen_compose(*eigen_decompose(p)) == p
+    marked = MarkedPermutation(p, frozenset(lit_entries(p)) - {n})
+    assert list_to_marked(marked_to_list(marked)) == marked
 
 
 def test_fast_35241ok_spot_checks():
