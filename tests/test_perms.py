@@ -305,6 +305,24 @@ def test_census_values_and_limit():
         census(up, -1)
 
 
+def test_census_matches_satisfies_on_every_marked_4_pattern(pattern_census_table):
+    # The fixture counts satisfies one permutation at a time, n <= 6.
+    for up, counts in pattern_census_table.items():
+        assert tuple(census(up, n) for n in range(7)) == counts, up
+
+
+@pytest.mark.parametrize(
+    "text",
+    # The mark first, inside and last; bases longer than n; 8 > 7 letters.
+    ["(1)", "(1)2", "2(1)", "1(3)2", "3(5)241", "31(5)42", "21(6)534", "41(5)7263"],
+)
+def test_census_matches_satisfies_to_length_8(text):
+    up = parse_pattern(text)
+    for n in range(9):
+        expected = sum(satisfies(p, up) for p in itertools.permutations(range(1, n + 1)))
+        assert census(up, n) == expected, n
+
+
 def test_class_tree_matches_census():
     # The generating tree against the definition on all 96 marked
     # 4-patterns, the 24 marked last (grown through their reverse) included.
