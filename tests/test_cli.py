@@ -148,6 +148,17 @@ def test_count_census_limit(capsys):
     code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "12")
     assert code == 3 and out == ""
     assert "limit exceeded" in err
+    # Refused before any counting, one past the limit.
+    code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "11")
+    assert (code, out, err) == (3, "", "limit exceeded: census at n=11 exceeds the limit 10\n")
+
+
+def test_count_at_the_census_limit_finishes_in_bounded_time(capsys):
+    # All 10! permutations, within the ~15 s that the command ceilings aim for.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "10")
+    assert (code, out, err) == (0, "808764\n", "")
+    assert time.perf_counter() - start < 15
 
 
 def test_count_malformed_pattern(capsys):

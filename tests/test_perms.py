@@ -331,7 +331,7 @@ def test_class_tree_matches_census():
     patterns = all_underlined4()
     assert sum(up.mark == 4 for up in patterns) == 24
     for up in patterns:
-        assert _class_counts(up, 7) == tuple(census(up, n) for n in range(8)), up
+        assert _class_counts(up, 8) == tuple(census(up, n) for n in range(9)), up
 
 
 def test_class_tree_counts_3_5_241_to_length_9():
