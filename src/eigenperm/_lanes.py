@@ -12,7 +12,8 @@ mask stands for it.  Every comparison between two positions is one mask:
 - two fixed entries compare in all lanes or in none.
 
 ``perms.census`` loads this module on its first call, so that the
-commands that never count do not load it.
+commands that never count do not load it.  ``count``, ``classify4`` and
+the ``recurrences`` and ``fourpatterns`` suites of ``verify`` count.
 """
 
 from __future__ import annotations

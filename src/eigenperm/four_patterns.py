@@ -28,12 +28,12 @@ from .perms import (
     UnderlinedPattern,
     _checked_size,
     _checked_standard,
-    _class_counts,
     _echo,
     _lrmax_factors,
     _satisfies,
     _within_limit,
     apply_pattern_symmetry,
+    census,
     parse_pattern,
 )
 from .recurrences import bell_numbers, catalan_numbers
@@ -102,15 +102,14 @@ def pattern_orbit(up: UnderlinedPattern) -> frozenset[UnderlinedPattern]:
 def classify(max_n: int = 7) -> list[PatternClass]:
     """Partition the 96 patterns into orbits and label each by its counts.
 
-    Counts for n = 0..max_n, the values of ``census``, are grown on a
-    generating tree of each class and matched against the four reference
-    sequences; an orbit is trivial when it is labelled Catalan, as every
-    3-letter base has C_n avoiders (Simion-Schmidt).  Disagreements within
-    an orbit, or an unmatched orbit, raise ClassificationError.  The
-    references agree through n = 4 (bell, a051295 and new4 all read
-    1, 1, 2, 5, 15), so ``max_n`` below 5 raises InvalidInputError;
-    ``max_n`` past the census limit raises ResourceLimitError before any
-    counting.
+    Counts for n = 0..max_n, from ``census``, are matched against the
+    four reference sequences; an orbit is trivial when it is labelled
+    Catalan, as every 3-letter base has C_n avoiders (Simion-Schmidt).
+    Disagreements within an orbit, or an unmatched orbit, raise
+    ClassificationError.  The references agree through n = 4 (bell,
+    a051295 and new4 all read 1, 1, 2, 5, 15), so ``max_n`` below 5
+    raises InvalidInputError; ``max_n`` past the census limit raises
+    ResourceLimitError before any counting.
     """
     _checked_size(max_n, "max_n, to reach where the reference sequences differ,", 5)
     _within_limit("classify", max_n, CENSUS_LIMIT)
@@ -121,7 +120,7 @@ def classify(max_n: int = 7) -> list[PatternClass]:
         "a051295": tuple(a051295_terms(max_n)),
         "new4": tuple(new4_terms(max_n)),
     }
-    counts = {up: _class_counts(up, max_n) for up in patterns}
+    counts = {up: tuple(census(up, n) for n in range(max_n + 1)) for up in patterns}
     classes = []
     assigned: set[UnderlinedPattern] = set()
     for up in patterns:

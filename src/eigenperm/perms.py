@@ -12,9 +12,8 @@ instance is part of a 35241 instance.
 
 The module also provides the left-to-right-maximum factorization, the
 terminal increasing run of top values (LIT entries), the dihedral symmetry
-action on permutations and patterns, brute-force censuses, class counts on
-a generating tree, and a fast structural recognizer for the ``3(5)241``
-class.
+action on permutations and patterns, brute-force censuses, and a fast
+structural recognizer for the ``3(5)241`` class.
 """
 
 from __future__ import annotations
@@ -504,68 +503,6 @@ def census(up: UnderlinedPattern, n: int) -> int:
     from ._lanes import census as lane_census  # here, so that commands that never count skip it
 
     return lane_census(n, _tight_bounds(up.base), up._extension)
-
-
-def _class_counts(up: UnderlinedPattern, max_n: int) -> tuple[int, ...]:
-    # census(up, n) for n = 0..max_n on a generating tree (West 1995); up's
-    # base must be nonempty.  With the mark not last, the class is closed
-    # under deleting the last entry and reducing, so each member of length
-    # m+1 is a member q of length m plus a new last value v in 1..m+1
-    # (entries of q from v up shift by one).  v can only break a base
-    # occurrence that ends at it: an occurrence h of the head base[:-1]
-    # in q, completed by v in [lo_v, hi_v].  The v that some unextended h
-    # forbids form one bit set per q; the rest are q's children, built
-    # below max_n and only counted at max_n.  A pattern marked last is
-    # counted through its reverse, whose class is the reversed class.
-    # The caller checks max_n against CENSUS_LIMIT.
-    if up.mark == len(up.full):
-        up = apply_pattern_symmetry(up, "reverse")
-    base = up.base
-    last = len(base) - 1
-    head = _reduce(base[:-1])
-    below = base[-1] - 1  # head letters below the new entry
-    below_at = head.index(below) if below else -1
-    above_at = head.index(below + 1) if below < last else -1
-    slot, lo_idx, hi_idx = up._extension
-    counts = [1]
-    level: list[Perm] = [()]
-    for m in range(max_n):
-        top = m + 1
-        grown: list[Perm] = []
-        total = 0
-        for q in level:
-            forbidden = 0
-            for h in _iter_occurrences(q, head):
-                lo_v = q[h[below_at]] + 1 if below_at >= 0 else 1
-                hi_v = q[h[above_at]] if above_at >= 0 else top
-                span = (1 << (hi_v + 1)) - (1 << lo_v)  # the bits lo_v..hi_v
-                if forbidden & span == span:
-                    continue
-                # The gap entries that could extend h, leaving v aside.
-                lo = q[h[lo_idx]] if 0 <= lo_idx < last else 0
-                hi = q[h[hi_idx]] if 0 <= hi_idx < last else top
-                gap = q[h[slot - 1] + 1 if slot else 0 : h[slot] if slot < last else m]
-                inside = [x for x in gap if lo < x < hi]
-                if lo_idx == last:
-                    # The extension must lie above v: v up to max(inside) survives.
-                    lo_v = max(lo_v, max(inside, default=0) + 1)
-                elif hi_idx == last:
-                    # The extension must lie below v: v past min(inside) survives.
-                    hi_v = min(hi_v, min(inside, default=top))
-                elif inside:
-                    continue
-                if lo_v <= hi_v:
-                    forbidden |= (1 << (hi_v + 1)) - (1 << lo_v)
-            allowed = ((1 << (top + 1)) - 2) & ~forbidden  # the bits 1..top
-            if top < max_n:
-                for v in range(1, top + 1):
-                    if allowed >> v & 1:
-                        grown.append(tuple(x + (x >= v) for x in q) + (v,))
-            else:
-                total += allowed.bit_count()
-        counts.append(len(grown) if top < max_n else total)
-        level = grown
-    return tuple(counts)
 
 
 def fast_35241ok(p: Iterable[int]) -> bool:

@@ -192,10 +192,11 @@ def test_classify4_refuses_depths_past_the_census_limit(capsys, monkeypatch):
         raise AssertionError("classify4 counted past the limit")
 
     monkeypatch.setattr(perms, "census", refuse)
-    monkeypatch.setattr(four_patterns, "_class_counts", refuse)
+    monkeypatch.setattr(four_patterns, "census", refuse)
     code, out, err = invoke(capsys, "classify4", "--max-n", "11")
     assert code == 3 and out == ""
-    # classify counts on a generating tree, so the refusal names it, not census.
+    # classify checks its own depth before it counts, so the refusal names
+    # it, not census.
     assert err == "limit exceeded: classify at n=11 exceeds the limit 10\n"
     assert "census" not in err
 
@@ -218,7 +219,7 @@ def test_classify4_refuses_depths_where_references_agree(capsys):
 
 
 def test_classify4_help_does_not_describe_a_census(capsys):
-    # classify counts on a generating tree, not by a census of all n!.
+    # --max-n is described as the depth of the classification, not of a census.
     with pytest.raises(SystemExit) as exc:
         run(["classify4", "--help"])
     out = capsys.readouterr().out

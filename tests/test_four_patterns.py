@@ -102,13 +102,23 @@ def test_classify_structure(pattern_census_table):
     assert "catalan" in report and "new4" in report and "bell" in report
 
 
+def test_classify_to_length_9_matches_the_references():
+    # The census of all 96 patterns at n = 9 against the closed forms: an
+    # orbit that disagreed or matched no reference would raise.
+    classes = classify(max_n=9)
+    assert sum(len(c.members) for c in classes if c.trivial) == 64
+    nontrivial = [c for c in classes if not c.trivial]
+    assert sorted(len(c.members) for c in nontrivial) == [4, 4, 8, 8, 8]
+    assert sorted(c.label for c in nontrivial) == ["a051295", "a051295", "bell", "bell", "new4"]
+
+
 def test_classify_respects_census_limit(monkeypatch):
-    # The depth is refused before any counting, by census or by the tree.
+    # The depth is refused before any counting, through either name of census.
     def refuse(*args):
         raise AssertionError("classify counted past the limit")
 
     monkeypatch.setattr(perms, "census", refuse)
-    monkeypatch.setattr(four_patterns, "_class_counts", refuse)
+    monkeypatch.setattr(four_patterns, "census", refuse)
     with pytest.raises(ResourceLimitError):
         classify(max_n=11)
 

@@ -38,7 +38,7 @@ from eigenperm import (
     reverse,
     satisfies,
 )
-from eigenperm.perms import _checked_standard, _class_counts, _lrmax_factors
+from eigenperm.perms import _checked_standard, _lrmax_factors
 
 words = st.lists(st.integers(1, 50), max_size=9, unique=True).map(tuple)
 small_perms = st.integers(0, 7).flatmap(
@@ -321,22 +321,6 @@ def test_census_matches_satisfies_to_length_8(text):
     for n in range(9):
         expected = sum(satisfies(p, up) for p in itertools.permutations(range(1, n + 1)))
         assert census(up, n) == expected, n
-
-
-def test_class_tree_matches_census():
-    # The generating tree against the definition on all 96 marked
-    # 4-patterns, the 24 marked last (grown through their reverse) included.
-    from eigenperm import all_underlined4
-
-    patterns = all_underlined4()
-    assert sum(up.mark == 4 for up in patterns) == 24
-    for up in patterns:
-        assert _class_counts(up, 8) == tuple(census(up, n) for n in range(9)), up
-
-
-def test_class_tree_counts_3_5_241_to_length_9():
-    # Term n of the shifted eigensequence counts the class at length n.
-    assert _class_counts(parse_pattern("3(5)241"), 9) == tuple(eigensequence(10))
 
 
 def test_single_letter_pattern_means_nonempty():
