@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -273,6 +274,20 @@ def test_wilf_map_examples_and_bijectivity():
             for p in itertools.permutations(range(1, n + 1))
             if satisfies(p, dst_pat)
         }
+
+
+def test_every_small_wilf_map_image_is_pinned():
+    # Bijectivity holds for any bijection onto the class; this pins the
+    # images themselves: every (1)324-OK permutation of length 1..8 (9,339).
+    pat = parse_pattern("(1)324")
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for p in itertools.permutations(range(1, n + 1)):
+            if satisfies(p, pat):
+                digest.update(repr((p, wilf_map(p))).encode())
+    assert digest.hexdigest() == (
+        "23d603851ccc41b379e68f6fdccf2f5c77b1b03cc40a26560f2bef7320fb89d0"
+    )
 
 
 def test_wilf_map_requires_source_class():
