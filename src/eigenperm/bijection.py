@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 from .perms import (
     InvalidInputError,
     Perm,
+    _chain,
     _checked_size,
     _checked_standard,
     _echo,
@@ -130,7 +131,10 @@ class MarkedPermutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", _checked_standard(self.perm))
-        object.__setattr__(self, "marks", frozenset(self.marks))
+        marks = tuple(self.marks)
+        if not all(isinstance(m, int) for m in marks):
+            raise InvalidInputError(f"marks must be integers, got {_echo(self.marks)}")
+        object.__setattr__(self, "marks", frozenset(marks))
         allowed = set(_lit(self.perm)) - {len(self.perm)}
         if not self.marks <= allowed:
             raise InvalidInputError(
@@ -320,20 +324,11 @@ class WindowPlan:
     rows: tuple[tuple[int, ...], ...]
 
 
-def _lrmax_mask(p: Perm) -> list[bool]:
-    mask = []
-    head = 0
-    for v in p:
-        mask.append(v > head)
-        head = max(head, v)
-    return mask
-
-
 def _avoids_321(p: Perm) -> bool:
     # A 321 occurrence needs two entries that are not left-to-right maxima
     # in decreasing order, and any such pair completes one with an earlier
     # maximum; so p avoids 321 iff its other entries increase.
-    rest = [v for v, is_max in zip(p, _lrmax_mask(p)) if not is_max]
+    rest = [v for _, tail in _lrmax_factors(p) for v in tail]
     return all(a < b for a, b in zip(rest, rest[1:]))
 
 
@@ -362,14 +357,14 @@ def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
     # max, row) per pane, leftmost first: initial pane r is row r, and a
     # pane a step creates takes the row of the pane it drops.
     n = len(qq)
-    pos_of = {v: i for i, v in enumerate(qq)}
-    starts = sorted({pos_of[_lit(qq)[0]]} | {pos_of[e + 1] for e in marks})
-    mask = _lrmax_mask(qq)
-    lrpos = [i for i, flag in enumerate(mask) if flag]
+    lrpos, lit = _chain(qq)
     lrvals = [qq[i] for i in lrpos]  # rising, and ending at n
+    # The LIT values rise by 1 from lrvals[lit], so e + 1 is head lit + e + 1 - lrvals[lit].
+    starts = [lrpos[lit], *(lrpos[lit + e + 1 - lrvals[lit]] for e in marks)]
+    heads = set(lrpos)
 
     def loose_max(a: int, b: int) -> int:
-        return max((qq[x] for x in range(a, b) if not mask[x]), default=0)
+        return max((qq[x] for x in range(a, b) if x not in heads), default=0)
 
     spans = list(zip(starts, starts[1:] + [n]))
     window = deque((loose_max(*span), row) for row, span in enumerate(spans))
@@ -498,20 +493,21 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
     # the top values and are first visited.
     b = sum(len(it) for it in items)  # the next value to place
     values: list[list[int]] = []
-    masks: list[list[bool]] = []
+    heads: list[set[int]] = []
     blanks: list[deque[int]] = []
     panes: list[list[tuple[int, int]]] = []  # the initial pane first
     for it in reversed(items):
         where = [0] * len(it)
         for x, v in enumerate(it):
             where[v - 1] = x
-        cut = len(it) - len(_lit(it))  # the values above cut are the LIT entries
+        lrpos, lit = _chain(it)
+        cut = it[lrpos[lit]] - 1  # the values above cut are the LIT entries
         vals = [0] * len(it)
         for pos in reversed(where[cut:]):
             vals[pos] = b
             b -= 1
         values.append(vals)
-        masks.append(_lrmax_mask(it))
+        heads.append(set(lrpos))
         blanks.append(deque(reversed(where[:cut])))
         panes.append([(where[cut], len(it))])
     open_items = deque(range(len(items)))
@@ -521,7 +517,7 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
         i = open_items.popleft()
         blank, covered, placed = blanks[i], panes[i][-1][0], b
         first = covered
-        while blank and (blank[0] >= covered or masks[i][blank[0]]):
+        while blank and (blank[0] >= covered or blank[0] in heads[i]):
             first = min(first, blank[0])
             values[i][blank.popleft()] = b
             b -= 1

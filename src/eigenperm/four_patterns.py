@@ -30,6 +30,7 @@ from .perms import (
     _checked_standard,
     _echo,
     _lrmax_factors,
+    _move,
     _satisfies,
     _within_limit,
     apply_pattern_symmetry,
@@ -320,19 +321,12 @@ def wilf_map(p: Iterable[int]) -> Perm:
     q = _checked_standard(p)
     if not _satisfies(q, _PATTERN_1324):
         raise InvalidInputError(f"not (1)324-OK: {_echo(q)}")
-    minima: list[int] = []
-    tails: list[list[int]] = []
-    floor = len(q) + 1
-    for v in q:
-        if v < floor:
-            floor = v
-            minima.append(v)
-            tails.append([])
-        else:
-            tails[-1].append(v)
-    out = minima[:]
-    for tail in reversed(tails):
-        out.extend(tail)
+    # The LR minima of q are the LR maxima of its complement.
+    flip = len(q) + 1
+    factors = _lrmax_factors(_move("complement", q))
+    out = [flip - head for head, _ in factors]
+    for _, tail in reversed(factors):
+        out.extend(flip - v for v in tail)
     return tuple(out)
 
 

@@ -13,7 +13,8 @@ instance is part of a 35241 instance.
 The module also provides the left-to-right-maximum factorization, the
 terminal increasing run of top values (LIT entries), the dihedral symmetry
 action on permutations and patterns, brute-force censuses, and a fast
-structural recognizer for the ``3(5)241`` class.
+structural recognizer for the ``3(5)241`` class.  Every reader of the
+left-to-right maxima or the LIT entries shares one linear pass, with no sort.
 """
 
 from __future__ import annotations
@@ -151,14 +152,28 @@ def lit_entries(word: Iterable[int]) -> Perm:
 
 def _lit(p: Sequence[int]) -> Perm:
     # lit_entries without validation: p holds distinct positive ints.
-    if not p:
-        return ()
-    support = sorted(p)
-    pos = {v: i for i, v in enumerate(p)}
-    j = len(support) - 1
-    while j > 0 and pos[support[j - 1]] < pos[support[j]]:
-        j -= 1
-    return tuple(support[j:])
+    heads, lit = _chain(p)
+    return tuple(p[h] for h in heads[lit:])
+
+
+def _chain(p: Sequence[int]) -> tuple[list[int], int]:
+    # The positions of p's left-to-right maxima, and the index among them
+    # of the first LIT entry.  A head is an LIT entry exactly when every
+    # entry that is not a head is smaller (the earlier ones are anyway), so
+    # the LIT entries are the heads above the largest tail entry.  p need
+    # only hold distinct positive ints.
+    heads: list[int] = []
+    top = loose = 0
+    for i, v in enumerate(p):
+        if v > top:
+            heads.append(i)
+            top = v
+        elif v > loose:
+            loose = v
+    lit = len(heads)
+    while lit and p[heads[lit - 1]] > loose:
+        lit -= 1
+    return heads, lit
 
 
 @dataclass(frozen=True)
@@ -195,29 +210,13 @@ def lrmax_factorize(p: Iterable[int]) -> LRMaxFactorization:
     (5,)
     """
     p = as_perm(p)
-    factors = _lrmax_factors(p)
-    lit = _lit(p)
-    lit_start = len(factors) - len(lit)
-    if tuple(h for h, _ in factors[lit_start:]) != lit:
-        raise AssertionError("LIT entries are not a terminal segment of the heads")
-    return LRMaxFactorization(tuple(factors), lit_start)
+    return LRMaxFactorization(tuple(_lrmax_factors(p)), _chain(p)[1])
 
 
-def _lrmax_factors(p: Sequence[int]) -> list[tuple[int, Perm]]:
+def _lrmax_factors(p: Perm) -> list[tuple[int, Perm]]:
     # lrmax_factorize's (head, tail) pairs without validation.
-    factors: list[tuple[int, Perm]] = []
-    head = 0
-    tail: list[int] = []
-    for v in p:
-        if v > head:
-            if head:
-                factors.append((head, tuple(tail)))
-            head, tail = v, []
-        else:
-            tail.append(v)
-    if head:
-        factors.append((head, tuple(tail)))
-    return factors
+    heads, _ = _chain(p)
+    return [(p[a], p[a + 1:b]) for a, b in itertools.pairwise([*heads, len(p)])]
 
 
 def complement(p: Iterable[int]) -> Perm:
@@ -261,7 +260,8 @@ def _checked_standard(p: Iterable[int]) -> Perm:
 
 
 def _generator_list(g: str | Iterable[str]) -> tuple[str, ...]:
-    names = tuple(g.split()) if isinstance(g, str) else tuple(g)
+    # A non-iterable is taken as one name, which the check below rejects.
+    names = tuple(g.split()) if isinstance(g, str) else tuple(g) if isinstance(g, Iterable) else (g,)
     for name in names:
         if name not in GENERATORS:
             raise InvalidInputError(f"unknown symmetry generator {_echo(name)}")

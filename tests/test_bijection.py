@@ -149,6 +149,15 @@ def test_marked_permutation_validates_marks():
         MarkedPermutation((1, 2, 3), frozenset({3}))  # the max cannot be marked
 
 
+def test_marked_permutation_rejects_marks_that_are_not_integers():
+    with pytest.raises(InvalidInputError, match="marks must be integers"):
+        MarkedPermutation((1, 2, 3), frozenset({"a", 1}))  # unorderable
+    with pytest.raises(InvalidInputError, match="marks must be integers"):
+        MarkedPermutation((1, 2, 3), [[1]])  # unhashable
+    with pytest.raises(InvalidInputError, match=r"marks \[5\] are not non-maximal LIT entries of \(1, 2, 3\)"):
+        MarkedPermutation((1, 2, 3), {5})
+
+
 def test_sort_factor_tails():
     marked, factors = sort_factor_tails((3, 2, 1, 4), marks=())
     assert marked.perm == (3, 1, 2, 4)

@@ -145,6 +145,33 @@ def test_lit_entries_are_terminal_lrmax_heads():
             assert positions == sorted(positions)
 
 
+def test_lit_entries_match_their_definition():
+    # The run s_j < ... < s_m of the top values that occurs left to right,
+    # with j as small as possible, checked straight from the definition on
+    # every permutation of length <= 8 and on words that are not standard.
+    rng = random.Random(14)
+    words = [p for n in range(9) for p in itertools.permutations(range(1, n + 1))]
+    words += [tuple(rng.sample(range(1, 101), rng.randint(0, 30))) for _ in range(5000)]
+
+    def in_order(p, values):
+        positions = [p.index(v) for v in values]
+        return positions == sorted(positions)
+
+    for p in words:
+        lit = lit_entries(p)
+        support = sorted(p)
+        j = len(support) - len(lit)
+        assert lit == tuple(support[j:]), p
+        assert in_order(p, lit), p
+        assert j == 0 or not in_order(p, support[j - 1:]), p
+        f = lrmax_factorize(p)
+        assert tuple(itertools.chain.from_iterable((h, *t) for h, t in f.factors)) == p
+        for h, tail in f.factors:
+            assert all(v < h for v in p[:p.index(h)]), p  # an LR maximum
+            assert all(v < h for v in tail), p
+        assert f.lit == lit, p
+
+
 def test_lrmax_factorize_example():
     f = lrmax_factorize((3, 1, 5, 2, 4, 6))
     assert f.heads == (3, 5, 6)
@@ -188,6 +215,13 @@ def test_apply_symmetry_matches_composed_generators():
 def test_apply_symmetry_rejects_unknown_generator():
     with pytest.raises(InvalidInputError):
         apply_symmetry((1,), "transpose")
+
+
+def test_symmetry_words_that_are_not_iterable_are_invalid_input():
+    with pytest.raises(InvalidInputError, match="unknown symmetry generator 5"):
+        apply_symmetry((1, 2), 5)
+    with pytest.raises(InvalidInputError, match="unknown symmetry generator 5"):
+        apply_pattern_symmetry(parse_pattern("(1)2"), 5)
 
 
 def test_pattern_parse_format_round_trip():
