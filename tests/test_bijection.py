@@ -10,6 +10,7 @@ from eigenperm import (
     InvalidInputError,
     MarkedPermutation,
     StarredPermutation,
+    all_underlined4,
     collapse_stars,
     eigen_compose,
     eigen_decompose,
@@ -19,8 +20,10 @@ from eigenperm import (
     lit_entries,
     list_to_marked,
     marked_to_list,
+    occurrences,
     parse_pattern,
     reduce_word,
+    reverse,
     satisfies,
     sort_factor_tails,
     split_at_max_ok,
@@ -410,6 +413,69 @@ def test_recogniser_matches_definition_past_exhaustive_range():
         q[i], q[j] = q[j], q[i]
         for word in (p, tuple(q)):
             assert fast_35241ok(word) == satisfies(word, up)
+
+
+
+def _occurrence_satisfies(p, up):
+    """satisfies by its definition, read off the listed base occurrences.
+
+    Each occurrence needs an entry between its letters on either side of
+    the mark and between its values just below and just above the marked
+    letter's value.
+    """
+    w = up.full[up.mark - 1]
+    rest = up.full[: up.mark - 1] + up.full[up.mark:]
+    for occ in occurrences(p, up.base):
+        pos = [q - 1 for q in occ]
+        a = pos[up.mark - 2] + 1 if up.mark > 1 else 0
+        b = pos[up.mark - 1] if up.mark <= len(pos) else len(p)
+        lo = max((p[q] for q, v in zip(pos, rest) if v < w), default=0)
+        hi = min((p[q] for q, v in zip(pos, rest) if v > w), default=len(p) + 1)
+        if not any(lo < p[x] < hi for x in range(a, b)):
+            return False
+    return True
+
+
+def _box_fixed_early(up):
+    # True when the letters that bound the marked letter's box all come
+    # before the last base letter, so no search needs to place that letter.
+    w = up.full[up.mark - 1]
+    rest = up.full[: up.mark - 1] + up.full[up.mark:]
+    around = {up.mark - 2, up.mark - 1} | {t for t, v in enumerate(rest) if v in (w - 1, w + 1)}
+    return max(around & set(range(len(rest))), default=-1) < len(rest) - 1
+
+
+def _transposed(p, rng):
+    i, j = rng.sample(range(len(p)), 2)
+    q = list(p)
+    q[i], q[j] = q[j], q[i]
+    return tuple(q)
+
+
+def test_satisfies_matches_its_occurrence_definition():
+    # Random permutations for every marked 4-pattern and the mark first,
+    # inside and last in longer ones; then members of 3(5)241 and their
+    # reverses, members of 142(5)3, with one transposition of each.  Both
+    # outcomes are seen with the box fixed before and at the last letter.
+    rng = random.Random(3241)
+    extra = ["3(5)241", "(1)", "(1)2", "2(1)", "21(6)534", "41(5)7263"]
+    seen = set()
+    for up in all_underlined4() + [parse_pattern(s) for s in extra]:
+        for _ in range(2):
+            n = rng.randint(10, 40)
+            p = tuple(rng.sample(range(1, n + 1), n))
+            got = satisfies(p, up)
+            assert got == _occurrence_satisfies(p, up), (str(up), p)
+            seen.add((_box_fixed_early(up), got))
+    ups = (parse_pattern("3(5)241"), parse_pattern("142(5)3"))
+    for _ in range(12):
+        p = _random_member(rng.randint(20, 60), rng)
+        for up, member in zip(ups, (p, reverse(p))):
+            for word in (member, _transposed(member, rng)):
+                got = satisfies(word, up)
+                assert got == _occurrence_satisfies(word, up), (str(up), word)
+                seen.add((_box_fixed_early(up), got))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_list_to_marked_validates():
