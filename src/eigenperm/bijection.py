@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 from .perms import (
     InvalidInputError,
     Perm,
+    _as_tuple,
     _chain,
     _checked_size,
     _checked_standard,
@@ -108,7 +109,8 @@ class StarredPermutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _checked_standard(self.base))
-        object.__setattr__(self, "before", tuple(_checked_size(c, "a star count") for c in self.before))
+        counts = _as_tuple(self.before, "star counts")
+        object.__setattr__(self, "before", tuple(_checked_size(c, "a star count") for c in counts))
         _checked_size(self.after_max, "after_max")
         if len(self.before) != len(self.base):
             raise InvalidInputError("one star count per position is required")
@@ -131,8 +133,8 @@ class MarkedPermutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", _checked_standard(self.perm))
-        marks = tuple(self.marks)
-        if not all(isinstance(m, int) for m in marks):
+        marks = _as_tuple(self.marks, "marks")
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in marks):
             raise InvalidInputError(f"marks must be integers, got {_echo(self.marks)}")
         object.__setattr__(self, "marks", frozenset(marks))
         allowed = set(_lit(self.perm)) - {len(self.perm)}
@@ -256,7 +258,7 @@ def expand_stars(marked: MarkedPermutation, bits: Sequence[int]) -> StarredPermu
     p = marked.perm
     if not p:
         raise InvalidInputError("cannot expand stars on an empty permutation")
-    bts = tuple(bits)
+    bts = _as_tuple(bits, "bits")
     if any(b not in (0, 1) for b in bts):
         raise InvalidInputError(f"bits must be 0 or 1, got {_echo(bts)}")
     marks = sorted(marked.marks)
@@ -301,7 +303,7 @@ def sort_factor_tails(
     """
     factors = tuple(_lrmax_factors(_checked_standard(p)))
     q = tuple(itertools.chain.from_iterable((head, *sorted(tail)) for head, tail in factors))
-    return MarkedPermutation(q, frozenset(marks)), factors
+    return MarkedPermutation(q, marks), factors
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     takes over the dropped pane's row; otherwise that row closes.  Each
     step appends the new head (or None) to the association list.
     """
-    marked = MarkedPermutation(q, frozenset(marks))
+    marked = MarkedPermutation(q, marks)
     if not marked.perm:
         raise InvalidInputError("an empty permutation has no window plan")
     if not _avoids_321(marked.perm):
@@ -452,7 +454,7 @@ def _to_list(p: Perm, marks: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 def _checked_items(items: Iterable[Iterable[int]]) -> tuple[Perm, ...]:
-    its = tuple(_checked_member(it) for it in items)
+    its = tuple(_checked_member(it) for it in _as_tuple(items, "the item list"))
     if not its:
         raise InvalidInputError("the item list must be nonempty")
     if not all(its):
@@ -565,7 +567,7 @@ def eigen_compose(rho: Iterable[int], items: Iterable[Iterable[int]]) -> Perm:
     (3, 4, 1, 2)
     """
     r = _checked_member(rho)
-    its = tuple(_checked_member(it) for it in items)
+    its = tuple(_checked_member(it) for it in _as_tuple(items, "the item list"))
     k = len(its)
     if k == 0:
         raise InvalidInputError("the item list must contain at least one slot")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -75,13 +74,23 @@ def as_perm(word: Iterable[int]) -> Perm:
     >>> as_perm([3, 1, 2])
     (3, 1, 2)
     """
-    p = tuple(word)
+    # A tuple needs no conversion, and as_perm runs several times per round trip.
+    p = word if type(word) is tuple else _as_tuple(word, "a permutation")
     for e in p:
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise InvalidInputError(f"entries must be positive integers, got {_echo(p)}")
     if len(set(p)) != len(p):
         raise InvalidInputError(f"entries must be distinct, got {_echo(p)}")
     return p
+
+
+def _as_tuple(value: object, name: str) -> tuple:
+    # The one conversion of a caller's iterable: anything else is invalid input.
+    try:
+        iter(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be iterable, got {_echo(value)}") from None
+    return tuple(value)
 
 
 def _echo(value: object) -> str:
@@ -320,6 +329,16 @@ class UnderlinedPattern:
                 hi = t
         return self.mark - 1, lo, hi
 
+    @cached_property
+    def _search(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
+        # For _satisfies: the base's tight bounds, the depth fix at which the
+        # marked letter's box is fixed, and the depth after which a range
+        # query finds the last base letter (len(base): none).
+        m = len(self.base)
+        slot, lo_idx, hi_idx = self._extension
+        fix = max(slot - 1, slot if slot < m else -1, lo_idx, hi_idx)
+        return _tight_bounds(self.base), fix, m - 2 if fix < m - 1 else m
+
     def __str__(self) -> str:
         return format_pattern(self)
 
@@ -454,23 +473,67 @@ def is_avoider(p: Iterable[int], pattern: Iterable[int]) -> bool:
 
 
 def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
-    # Core loop without argument validation; p standard, possibly empty.
+    # A search for one violating occurrence: a base occurrence whose box,
+    # the position gap and value gap the marked letter would fill, holds no
+    # entry.  p is standard, possibly empty.  The box is fixed once the base
+    # letters on either side of the slot and those at lo_idx and hi_idx are
+    # placed, at depth fix; there it is tested once, and a partial
+    # occurrence with an entry in its box is dropped, since no completion
+    # of it violates.  When fix comes before the last letter, that letter
+    # only has to exist: one range query after placing letter m-2 answers
+    # it.  Both tests read after[i], the set of values at positions >= i as
+    # bits, so the entries at positions [a, b) with values in (lo, hi) are
+    # (after[a] ^ after[b]) >> (lo + 1), masked to hi - lo - 1 bits.  The
+    # table is n+1 ints of at most n+1 bits, about 13 MB at n = 10**4.
     n = len(p)
-    base = up.base
+    m = len(up.base)
+    if not m:
+        return n > 0
     slot, lo_idx, hi_idx = up._extension
+    bounds, fix, find = up._search
+    after = [0] * (n + 1)
+    bits = 0
+    for i in range(n - 1, -1, -1):
+        bits |= 1 << p[i]
+        after[i] = bits
     big = n + 1
-    nb = len(base)
-    for occ in _iter_occurrences(p, base):
-        lo = p[occ[lo_idx]] if lo_idx >= 0 else 0
-        hi = p[occ[hi_idx]] if hi_idx >= 0 else big
-        a = occ[slot - 1] + 1 if slot > 0 else 0
-        b = occ[slot] if slot < nb else n
-        for x in range(a, b):
-            if lo < p[x] < hi:
-                break
-        else:
-            return False
-    return True
+    occ = [0] * m
+    vals = [0] * m
+    t = q = 0
+    while True:
+        if q > n - (m - t):
+            if t == 0:
+                return True
+            t -= 1
+            q = occ[t] + 1
+            continue
+        v = p[q]
+        lo_ref, hi_ref = bounds[t]
+        if not (vals[lo_ref] if lo_ref >= 0 else 0) < v < (vals[hi_ref] if hi_ref >= 0 else big):
+            q += 1
+            continue
+        occ[t] = q
+        vals[t] = v
+        if t == fix:
+            a = occ[slot - 1] + 1 if slot else 0
+            b = occ[slot] if slot < m else n
+            lo = vals[lo_idx] if lo_idx >= 0 else 0
+            hi = vals[hi_idx] if hi_idx >= 0 else big
+            if (after[a] ^ after[b]) >> (lo + 1) & ((1 << (hi - lo - 1)) - 1):
+                q += 1
+                continue
+            if t == m - 1:
+                return False
+        if t == find:
+            lo_ref, hi_ref = bounds[m - 1]
+            lo = vals[lo_ref] if lo_ref >= 0 else 0
+            hi = vals[hi_ref] if hi_ref >= 0 else big
+            if after[q + 1] >> (lo + 1) & ((1 << (hi - lo - 1)) - 1):
+                return False
+            q += 1
+            continue
+        t += 1
+        q += 1
 
 
 def satisfies(p: Iterable[int], up: UnderlinedPattern) -> bool:

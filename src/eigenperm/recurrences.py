@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Sequence
 
-from .perms import InvalidInputError, _checked_size, _within_limit
+from .perms import InvalidInputError, _as_tuple, _checked_size, _within_limit
 
 __all__ = [
     "RecurrenceTables",
@@ -121,7 +121,7 @@ def dominance_count(comp: Sequence[int]) -> int:
     >>> dominance_count((1, 1, 1))
     1
     """
-    c = tuple(_checked_size(x, "a composition part", 1) for x in comp)
+    c = tuple(_checked_size(x, "a composition part", 1) for x in _as_tuple(comp, "a composition"))
     if not c:
         raise InvalidInputError("a composition needs at least one part")
     n = sum(c)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .perms import InvalidInputError, _checked_size, _echo
+from .perms import InvalidInputError, _as_tuple, _checked_size, _echo
 
 __all__ = ["PowerSeries", "compose", "eigensequence", "verify_shift"]
 
@@ -22,7 +22,7 @@ class PowerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", _as_tuple(self.coeffs, "coefficients"))
         if len(self.coeffs) < 1:
             raise InvalidInputError("a series needs at least the x^1 coefficient")
         for c in self.coeffs:
@@ -103,11 +103,11 @@ def verify_shift(terms: Iterable[int], order: int) -> bool:
     False
     """
     _checked_size(order, "order", 1)
-    ts = list(terms)
+    ts = _as_tuple(terms, "terms")
     if len(ts) < order:
         raise InvalidInputError("need at least `order` terms")
     if order == 1:
         return True
-    prefix = PowerSeries(tuple(ts[: order - 1]))
+    prefix = PowerSeries(ts[: order - 1])
     comp = compose(prefix, prefix).coeffs
     return all(comp[n - 1] == ts[n] for n in range(1, order))

@@ -157,6 +157,8 @@ def test_marked_permutation_rejects_marks_that_are_not_integers():
         MarkedPermutation((1, 2, 3), frozenset({"a", 1}))  # unorderable
     with pytest.raises(InvalidInputError, match="marks must be integers"):
         MarkedPermutation((1, 2, 3), [[1]])  # unhashable
+    with pytest.raises(InvalidInputError, match="marks must be integers"):
+        MarkedPermutation((1, 2), {True})  # a bool, though it equals 1
     with pytest.raises(InvalidInputError, match=r"marks \[5\] are not non-maximal LIT entries of \(1, 2, 3\)"):
         MarkedPermutation((1, 2, 3), {5})
 
@@ -414,6 +416,19 @@ def test_recogniser_matches_definition_past_exhaustive_range():
         for word in (p, tuple(q)):
             assert fast_35241ok(word) == satisfies(word, up)
 
+
+
+def test_recogniser_matches_definition_at_lengths_100_to_150():
+    rng = random.Random(100150)
+    up = parse_pattern("3(5)241")
+    seen = set()
+    for _ in range(12):
+        p = _random_member(rng.randint(100, 150), rng)
+        for word in (p, _transposed(p, rng)):
+            ok = satisfies(word, up)
+            assert fast_35241ok(word) == ok, word
+            seen.add(ok)
+    assert seen == {False, True}
 
 
 def _occurrence_satisfies(p, up):

@@ -12,7 +12,9 @@ from eigenperm import (
     GENERATORS,
     InvalidInputError,
     MarkedPermutation,
+    PowerSeries,
     ResourceLimitError,
+    StarredPermutation,
     UnderlinedPattern,
     apply_pattern_symmetry,
     apply_symmetry,
@@ -20,9 +22,11 @@ from eigenperm import (
     census,
     complement,
     contains,
+    dominance_count,
     eigen_compose,
     eigen_decompose,
     eigensequence,
+    expand_stars,
     fast_35241ok,
     format_pattern,
     invert,
@@ -37,6 +41,9 @@ from eigenperm import (
     reduce_word,
     reverse,
     satisfies,
+    sort_factor_tails,
+    verify_shift,
+    window_plan,
 )
 from eigenperm.perms import _checked_standard, _lrmax_factors
 
@@ -79,6 +86,33 @@ def test_as_perm_validation():
         as_perm((True, 2))
     with pytest.raises(InvalidInputError):
         as_perm((1.0, 2))
+
+
+# Each argument documented as an iterable, given something that is not one.
+NOT_ITERABLE = {
+    "as_perm(5)": lambda: as_perm(5),
+    "lit_entries(None)": lambda: lit_entries(None),
+    "satisfies(5, up)": lambda: satisfies(5, parse_pattern("3(5)241")),
+    "occurrences(None, (1,))": lambda: occurrences(None, (1,)),
+    "occurrences((1,), 5)": lambda: occurrences((1,), 5),
+    "StarredPermutation((1,), 5)": lambda: StarredPermutation((1,), 5),
+    "MarkedPermutation((1, 2), 5)": lambda: MarkedPermutation((1, 2), 5),
+    "eigen_compose((), 5)": lambda: eigen_compose((), 5),
+    "list_to_marked(None)": lambda: list_to_marked(None),
+    "expand_stars(marked, 5)": lambda: expand_stars(MarkedPermutation((1,)), 5),
+    "window_plan((1, 2), 5)": lambda: window_plan((1, 2), 5),
+    "sort_factor_tails((1, 2), 5)": lambda: sort_factor_tails((1, 2), 5),
+    "UnderlinedPattern(5, 1)": lambda: UnderlinedPattern(5, 1),
+    "dominance_count(5)": lambda: dominance_count(5),
+    "verify_shift(5, 1)": lambda: verify_shift(5, 1),
+    "PowerSeries(5)": lambda: PowerSeries(5),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_ITERABLE.values()), ids=list(NOT_ITERABLE))
+def test_a_non_iterable_argument_is_invalid_input(call):
+    with pytest.raises(InvalidInputError, match="must be iterable, got (5|None)$"):
+        call()
 
 
 def test_is_standard():
