@@ -43,6 +43,7 @@ from .perms import (
     _fast_ok,
     _lit,
     _lrmax_factors,
+    _of_kind,
     _reduce,
     as_perm,
 )
@@ -188,6 +189,7 @@ def star_decode(rho: Iterable[int], starred: StarredPermutation) -> Perm:
     support and appended after the new maximum.
     """
     r = _checked_member(rho)
+    _of_kind(starred, StarredPermutation, "the starred permutation")
     if not _fast_ok(starred.base):
         raise InvalidInputError("the starred permutation must be in the class")
     if len(r) != starred.star_count:
@@ -222,7 +224,7 @@ def collapse_stars(starred: StarredPermutation) -> tuple[MarkedPermutation, tupl
     itself, and a 0 for every deleted star.  Its length is the original
     star count plus one.
     """
-    if not starred.base:
+    if not _of_kind(starred, StarredPermutation, "the starred permutation").base:
         raise InvalidInputError("cannot collapse stars on an empty permutation")
     marks, bits = _collapse_stars(starred.base, starred.before, starred.after_max)
     return MarkedPermutation(starred.base, frozenset(marks)), bits
@@ -255,7 +257,7 @@ def expand_stars(marked: MarkedPermutation, bits: Sequence[int]) -> StarredPermu
     last 1 on the maximum; 0s become extra stars at the location of the
     next 1, or after the maximum once the 1s are exhausted.
     """
-    p = marked.perm
+    p = _of_kind(marked, MarkedPermutation, "the marked permutation").perm
     if not p:
         raise InvalidInputError("cannot expand stars on an empty permutation")
     bts = _as_tuple(bits, "bits")
@@ -418,7 +420,7 @@ def window_forward(marked: MarkedPermutation) -> tuple[Perm, ...]:
     >>> window_forward(MarkedPermutation((1, 2, 3)))
     ((1, 2, 3),)
     """
-    if not _avoids_321(marked.perm):
+    if not _avoids_321(_of_kind(marked, MarkedPermutation, "the marked permutation").perm):
         raise InvalidInputError(f"a 321-avoiding permutation is required, got {_echo(marked.perm)}")
     return marked_to_list(marked)
 
@@ -431,7 +433,7 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
     Row r of the plan names the panes of p whose concatenation, reduced,
     becomes item r.
     """
-    p = marked.perm
+    p = _of_kind(marked, MarkedPermutation, "the marked permutation").perm
     if not _fast_ok(p):
         raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {_echo(p)}")
     if not p:

@@ -27,10 +27,12 @@ from .perms import (
     Perm,
     UnderlinedPattern,
     _checked_size,
+    _as_tuple,
     _checked_standard,
     _echo,
     _lrmax_factors,
     _move,
+    _of_kind,
     _satisfies,
     _within_limit,
     apply_pattern_symmetry,
@@ -88,7 +90,7 @@ def all_underlined4() -> list[UnderlinedPattern]:
 
 def pattern_orbit(up: UnderlinedPattern) -> frozenset[UnderlinedPattern]:
     """Closure of ``up`` under complement, reverse and inverse."""
-    seen = {up}
+    seen = {_of_kind(up, UnderlinedPattern, "the pattern")}
     frontier = [up]
     while frontier:
         cur = frontier.pop()
@@ -147,6 +149,7 @@ def classify(max_n: int = 7) -> list[PatternClass]:
 
 def classification_report(classes: Sequence[PatternClass]) -> str:
     """Human-readable summary: one line per orbit, nontrivial first."""
+    classes = tuple(_of_kind(c, PatternClass, "a class") for c in _as_tuple(classes, "the classes"))
     lines = []
     trivial_total = sum(len(c.members) for c in classes if c.trivial)
     lines.append(f"{len(classes)} orbits; {trivial_total} trivial patterns")
@@ -164,7 +167,7 @@ class SetPartition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(frozenset(b) for b in self.blocks)
+        blocks = tuple(frozenset(_as_tuple(b, "a block")) for b in _as_tuple(self.blocks, "the blocks"))
         if any(not b for b in blocks):
             raise InvalidInputError("blocks must be nonempty")
         union = sorted(v for b in blocks for v in b)
@@ -197,7 +200,7 @@ def from_partition_increasing(sp: SetPartition) -> Perm:
     (4, 1, 2, 6, 7, 3, 5)
     """
     word: list[int] = []
-    for block in sp.blocks:
+    for block in _of_kind(sp, SetPartition, "the partition").blocks:
         top = max(block)
         word.append(top)
         word.extend(sorted(block - {top}))
@@ -217,7 +220,7 @@ def from_partition_decreasing(sp: SetPartition) -> Perm:
     (4, 2, 1, 6, 7, 5, 3)
     """
     word: list[int] = []
-    for block in sp.blocks:
+    for block in _of_kind(sp, SetPartition, "the partition").blocks:
         word.extend(sorted(block, reverse=True))
     return tuple(word)
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "GENERATORS",
@@ -93,6 +93,14 @@ def _as_tuple(value: object, name: str) -> tuple:
     return tuple(value)
 
 
+def _of_kind(value: object, kind: type, name: str) -> Any:
+    # The one check that an argument is of the class it must be, such as a
+    # pattern, a marked or starred permutation, or text.
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be of type {kind.__name__}, got {_echo(value)}")
+    return value
+
+
 def _echo(value: object) -> str:
     # How a diagnostic quotes a caller's value: its repr, cut to 60 characters.
     text = repr(value)
@@ -122,7 +130,8 @@ def is_standard(p: Sequence[int]) -> bool:
     >>> is_standard((9, 4, 7))
     False
     """
-    return sorted(p) == list(range(1, len(p) + 1))
+    q = _as_tuple(p, "a permutation")
+    return sorted(q) == list(range(1, len(q) + 1))
 
 
 def reduce_word(word: Iterable[int]) -> Perm:
@@ -353,7 +362,7 @@ def parse_pattern(text: str) -> UnderlinedPattern:
     """
     letters: list[int] = []
     mark: int | None = None
-    i, s = 0, text.strip()
+    i, s = 0, _of_kind(text, str, "the text").strip()
     while i < len(s):
         ch = s[i]
         if ch == "(":
@@ -382,6 +391,7 @@ def format_pattern(up: UnderlinedPattern) -> str:
     >>> format_pattern(UnderlinedPattern((3, 5, 2, 4, 1), 2))
     '3(5)241'
     """
+    _of_kind(up, UnderlinedPattern, "the pattern")
     return "".join(f"({v})" if i == up.mark else str(v) for i, v in enumerate(up.full, start=1))
 
 
@@ -391,7 +401,7 @@ def apply_pattern_symmetry(up: UnderlinedPattern, g: str | Iterable[str]) -> Und
     Complement keeps the marked position, reverse mirrors it, and inverse
     moves the mark to the position given by the marked letter's value.
     """
-    full, mark = up.full, up.mark
+    full, mark = _of_kind(up, UnderlinedPattern, "the pattern").full, up.mark
     for name in _generator_list(g):
         mark = {"complement": mark, "reverse": len(full) + 1 - mark, "inverse": full[mark - 1]}[name]
         full = _move(name, full)
@@ -548,7 +558,7 @@ def satisfies(p: Iterable[int], up: UnderlinedPattern) -> bool:
     >>> satisfies((3, 5, 2, 4, 1), parse_pattern("3(5)241"))
     True
     """
-    return _satisfies(_checked_standard(p), up)
+    return _satisfies(_checked_standard(p), _of_kind(up, UnderlinedPattern, "the pattern"))
 
 
 def census(up: UnderlinedPattern, n: int) -> int:
@@ -561,6 +571,7 @@ def census(up: UnderlinedPattern, n: int) -> int:
     >>> census(parse_pattern("3(5)241"), 4)
     23
     """
+    _of_kind(up, UnderlinedPattern, "the pattern")
     _checked_size(n, "n")
     _within_limit("census", n, CENSUS_LIMIT)
     from ._lanes import census as lane_census  # here, so that commands that never count skip it

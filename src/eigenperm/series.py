@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .perms import InvalidInputError, _as_tuple, _checked_size, _echo
+from .perms import InvalidInputError, _as_tuple, _checked_size, _echo, _of_kind
 
 __all__ = ["PowerSeries", "compose", "eigensequence", "verify_shift"]
 
@@ -67,6 +67,8 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     >>> compose(b, b).coeffs
     (1, 2, 2, 1)
     """
+    _of_kind(outer, PowerSeries, "the outer series")
+    _of_kind(inner, PowerSeries, "the inner series")
     if outer.order != inner.order:
         raise InvalidInputError(
             f"truncation orders differ: {outer.order} != {inner.order}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bijection import MarkedPermutation, StarredPermutation
-from .perms import InvalidInputError, Perm, _echo, as_perm
+from .perms import InvalidInputError, Perm, _as_tuple, _echo, _of_kind, as_perm
 
 __all__ = [
     "format_marked",
@@ -35,18 +35,18 @@ def _int_token(token: str, text: str) -> int:
 
 def parse_perm(text: str) -> Perm:
     """Parse "3 5 2 4 1"; the empty string is the empty permutation."""
-    return as_perm(_int_token(t, text) for t in text.split())
+    return as_perm(_int_token(t, text) for t in _of_kind(text, str, "the text").split())
 
 
 def format_perm(p: Iterable[int]) -> str:
-    return " ".join(str(v) for v in p)
+    return " ".join(str(v) for v in (p if type(p) is tuple else _as_tuple(p, "a permutation")))
 
 
 def parse_marked(text: str) -> MarkedPermutation:
     """Parse "25 26^ 13": caret-suffixed entries are the marks."""
     entries: list[int] = []
     marks: list[int] = []
-    for token in text.split():
+    for token in _of_kind(text, str, "the text").split():
         entries.append(_int_token(token.removesuffix("^"), text))
         if token.endswith("^"):
             marks.append(entries[-1])
@@ -54,6 +54,7 @@ def parse_marked(text: str) -> MarkedPermutation:
 
 
 def format_marked(mp: MarkedPermutation) -> str:
+    _of_kind(mp, MarkedPermutation, "the marked permutation")
     return " ".join(f"{v}^" if v in mp.marks else str(v) for v in mp.perm)
 
 
@@ -66,7 +67,7 @@ def parse_starred(text: str) -> StarredPermutation:
     """
     entries: list[int] = []
     runs = [0]  # runs[i]: the stars before entry i; runs[-1]: the trailing stars
-    for token in text.split():
+    for token in _of_kind(text, str, "the text").split():
         if token == "*":
             runs[-1] += 1
         else:
@@ -83,7 +84,7 @@ def parse_starred(text: str) -> StarredPermutation:
 
 def format_starred(sp: StarredPermutation) -> str:
     tokens: list[str] = []
-    top = len(sp.base)
+    top = len(_of_kind(sp, StarredPermutation, "the starred permutation").base)
     for cnt, v in zip(sp.before, sp.base):
         tokens.extend("*" * cnt)
         tokens.append(str(v))
@@ -101,8 +102,8 @@ def parse_perm_list(text: str) -> tuple[Perm, ...]:
     zero-item list has no textual form (lists here always have k >= 1
     items).
     """
-    return tuple(parse_perm(chunk.strip()) for chunk in text.split("/"))
+    return tuple(parse_perm(chunk.strip()) for chunk in _of_kind(text, str, "the text").split("/"))
 
 
 def format_perm_list(items: Iterable[Iterable[int]]) -> str:
-    return " / ".join(format_perm(it) for it in items)
+    return " / ".join(format_perm(it) for it in _as_tuple(items, "the item list"))

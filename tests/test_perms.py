@@ -14,13 +14,17 @@ from eigenperm import (
     MarkedPermutation,
     PowerSeries,
     ResourceLimitError,
+    SetPartition,
     StarredPermutation,
     UnderlinedPattern,
     apply_pattern_symmetry,
     apply_symmetry,
     as_perm,
     census,
+    classification_report,
+    collapse_stars,
     complement,
+    compose,
     contains,
     dominance_count,
     eigen_compose,
@@ -28,7 +32,13 @@ from eigenperm import (
     eigensequence,
     expand_stars,
     fast_35241ok,
+    format_marked,
     format_pattern,
+    format_perm,
+    format_perm_list,
+    format_starred,
+    from_partition_decreasing,
+    from_partition_increasing,
     invert,
     is_avoider,
     is_standard,
@@ -37,12 +47,19 @@ from eigenperm import (
     lrmax_factorize,
     marked_to_list,
     occurrences,
+    parse_marked,
     parse_pattern,
+    parse_perm,
+    parse_perm_list,
+    parse_starred,
+    pattern_orbit,
     reduce_word,
     reverse,
     satisfies,
     sort_factor_tails,
+    star_decode,
     verify_shift,
+    window_forward,
     window_plan,
 )
 from eigenperm.perms import _checked_standard, _lrmax_factors
@@ -112,6 +129,47 @@ NOT_ITERABLE = {
 @pytest.mark.parametrize("call", list(NOT_ITERABLE.values()), ids=list(NOT_ITERABLE))
 def test_a_non_iterable_argument_is_invalid_input(call):
     with pytest.raises(InvalidInputError, match="must be iterable, got (5|None)$"):
+        call()
+
+
+# Each argument documented as a pattern, a marked or starred permutation, a
+# set partition, a power series or text, given an object of another kind;
+# the iterables among them given a non-iterable.
+WRONG_KIND = {
+    "satisfies((1,), 5)": lambda: satisfies((1,), 5),
+    "census(5, 3)": lambda: census(5, 3),
+    "format_pattern(5)": lambda: format_pattern(5),
+    "pattern_orbit(5)": lambda: pattern_orbit(5),
+    "apply_pattern_symmetry(5, 'reverse')": lambda: apply_pattern_symmetry(5, "reverse"),
+    "marked_to_list(5)": lambda: marked_to_list(5),
+    "window_forward(5)": lambda: window_forward(5),
+    "collapse_stars(None)": lambda: collapse_stars(None),
+    "star_decode((), 5)": lambda: star_decode((), 5),
+    "expand_stars(5, (1,))": lambda: expand_stars(5, (1,)),
+    "format_marked(5)": lambda: format_marked(5),
+    "format_starred(None)": lambda: format_starred(None),
+    "from_partition_increasing(5)": lambda: from_partition_increasing(5),
+    "from_partition_decreasing(None)": lambda: from_partition_decreasing(None),
+    "compose(5, series)": lambda: compose(5, PowerSeries((1,))),
+    "compose(series, None)": lambda: compose(PowerSeries((1,)), None),
+    "parse_perm(5)": lambda: parse_perm(5),
+    "parse_pattern(None)": lambda: parse_pattern(None),
+    "parse_marked(5)": lambda: parse_marked(5),
+    "parse_starred(5)": lambda: parse_starred(5),
+    "parse_perm_list(None)": lambda: parse_perm_list(None),
+    "is_standard(5)": lambda: is_standard(5),
+    "format_perm(5)": lambda: format_perm(5),
+    "format_perm_list(None)": lambda: format_perm_list(None),
+    "classification_report(5)": lambda: classification_report(5),
+    "classification_report([5])": lambda: classification_report([5]),
+    "SetPartition(5)": lambda: SetPartition(5),
+    "SetPartition((5,))": lambda: SetPartition((5,)),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_KIND.values()), ids=list(WRONG_KIND))
+def test_an_argument_of_the_wrong_kind_is_invalid_input(call):
+    with pytest.raises(InvalidInputError, match="must be (of type \\w+|iterable), got (5|None)$"):
         call()
 
 
