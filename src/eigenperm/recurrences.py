@@ -6,7 +6,8 @@ an ascent at the bottom value (the convolution partner of ``a``), and
 ``by_first`` refines ``a`` by the value of the first entry.  A separate
 route expresses ``a[n]`` as a sum over compositions of n weighted by how
 many same-length compositions dominate them; dropping the dominance
-weight collapses the sum to the Catalan numbers.
+weight collapses the sum to the Catalan numbers.  Neither sum lists the
+compositions: one is a pass over non-crossing path pairs, one a convolution.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "recurrence_tables",
 ]
 
-# The largest n_max the composition sums accept (2^(n-1) compositions of n).
+# The largest n that compositions accepts (2^(n-1) compositions of n).
 COMPOSITION_LIMIT = 16
 
 # Rows past this one are split with a partner process when the tables reach
@@ -274,25 +275,14 @@ def dominance_count(comp: Sequence[int]) -> int:
         raise InvalidInputError("a composition needs at least one part")
     n = sum(c)
     r = len(c)
-    prefix = []
-    s = 0
-    for x in c:
-        s += x
-        prefix.append(s)
     # g[s] = number of admissible d-prefixes with the current length and sum s
-    g = [0] * (n + 1)
-    g[0] = 1
-    for i in range(1, r + 1):
-        cum = 0
-        cums = [0] * (n + 2)
-        for s in range(n + 1):
-            cum += g[s]
-            cums[s + 1] = cum
-        h = [0] * (n + 1)
-        # after i parts the sum is at least prefix[i-1] and leaves >= 1 per remaining part
-        for t in range(prefix[i - 1], n - (r - i) + 1):
-            h[t] = cums[t]
-        g = h
+    g = [1] + [0] * n
+    for i, low in enumerate(accumulate(c), start=1):
+        # after i parts the sum is at least c's prefix and leaves >= 1 per remaining part
+        high = n - (r - i) + 1
+        cums = [0, *accumulate(g)]
+        g = [0] * (n + 1)
+        g[low:high] = cums[low:high]
     return g[n]
 
 
@@ -300,36 +290,40 @@ def counts_via_dominance(n_max: int) -> list[int]:
     """Class counts a_0..a_{n_max} from the dominance-weighted composition sum.
 
     a_n = sum over compositions c of n of
-    ``dominance_count(c) * prod a_{c_i - 1}``.
+    ``dominance_count(c) * prod a_{c_i - 1}``: a weighted count of pairs of
+    non-crossing paths, same-length compositions (c, d) with d's partial
+    sums never below c's.  Grouped by their sums (s, t), t >= s, they give
+    H[s'][t'] = sum_{s<s'} a_{s'-s-1} * P[s][t'-1], where P[s] holds the
+    prefix sums of H[s] over t, H[0][0] = 1 and a_n = H[n][n]: O(n_max^3).
 
     >>> counts_via_dominance(4)
     [1, 1, 2, 6, 23]
     """
-    return _composition_sum(n_max, weighted=True)
+    _checked_size(n_max, "n_max")
+    a = [1]
+    # cols[t] lists P[s][t] for s = 0..t (P[s][t] = 0 for t < s).  Before
+    # row s', each column t'-1 >= s'-1 holds s = 0..s'-1: as many as a.
+    cols = [[1] for _ in range(n_max + 1)]
+    for s in range(1, n_max + 1):
+        row = [sum(map(mul, reversed(a), cols[t - 1])) for t in range(s, n_max + 1)]
+        a.append(row[0])
+        for col, total in zip(cols[s:], accumulate(row)):
+            col.append(total)
+    return a
 
 
 def catalan_via_compositions(n_max: int) -> list[int]:
     """Same composition sum with the dominance weight dropped: Catalan numbers.
 
+    Unweighted, it is [x^n] 1/(1 - x A(x)), so A = 1 + x A^2: a convolution.
+
     >>> catalan_via_compositions(4)
     [1, 1, 2, 5, 14]
     """
-    return _composition_sum(n_max, weighted=False)
-
-
-def _composition_sum(n_max: int, weighted: bool) -> list[int]:
     _checked_size(n_max, "n_max")
-    # Refuse before any work; compositions(n) checks the same ceiling per n.
-    _within_limit("composition sum", n_max, COMPOSITION_LIMIT)
     a = [1]
-    for n in range(1, n_max + 1):
-        total = 0
-        for c in compositions(n):
-            term = dominance_count(c) if weighted else 1
-            for part in c:
-                term *= a[part - 1]
-            total += term
-        a.append(total)
+    for _ in range(n_max):
+        a.append(sum(map(mul, a, reversed(a))))
     return a
 
 

@@ -48,7 +48,7 @@ def verify_recurrences(max_n: int) -> list[CheckResult]:
     tables = recurrences.recurrence_tables(max_n + 1)
     ok = all(tables.a[n] == b[n] for n in range(max_n + 1))
     out.append(CheckResult("a_n equals shifted eigensequence", ok, f"n <= {max_n}"))
-    dom_n = min(max_n, 12)
+    dom_n = min(max_n, 12)  # the cubic sum could go further, but its "n <= 12" line is stdout
     dom = recurrences.counts_via_dominance(dom_n)
     ok = all(dom[n] == tables.a[n] for n in range(dom_n + 1))
     out.append(CheckResult("dominance sum equals recurrence tables", ok, f"n <= {dom_n}"))

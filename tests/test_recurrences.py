@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -257,8 +258,7 @@ def test_dominance_count_against_enumeration():
 
 def test_counts_via_dominance_matches_tables():
     assert counts_via_dominance(10) == eigensequence(11)[:11]
-    with pytest.raises(ResourceLimitError):
-        counts_via_dominance(17)
+    assert counts_via_dominance(17) == eigensequence(18)
 
 
 def test_catalan_via_compositions():
@@ -266,8 +266,25 @@ def test_catalan_via_compositions():
     got = catalan_via_compositions(12)
     for n in range(13):
         assert got[n] == math.comb(2 * n, n) // (n + 1)
-    with pytest.raises(ResourceLimitError):
-        catalan_via_compositions(17)
+    assert catalan_via_compositions(17)[17] == math.comb(34, 17) // 18
+
+
+def test_composition_sums_equal_their_terms_listed_one_by_one():
+    dom, cat = counts_via_dominance(12), catalan_via_compositions(12)
+    for n in range(1, 13):
+        comps = compositions(n)
+        assert dom[n] == sum(dominance_count(c) * math.prod(dom[p - 1] for p in c) for c in comps)
+        assert cat[n] == sum(math.prod(cat[p - 1] for p in c) for c in comps)
+
+
+def test_composition_sums_past_the_enumeration_range():
+    # Listing the 2^(n-1) compositions of n would never finish at these sizes.
+    start = time.perf_counter()
+    dom = counts_via_dominance(200)
+    cat = catalan_via_compositions(2000)
+    assert time.perf_counter() - start < 15
+    assert dom == list(recurrence_tables(200).a) == eigensequence(201)
+    assert cat == recurrences.catalan_numbers(2000)
 
 
 def test_catalan_matches_avoider_counts():

@@ -113,3 +113,12 @@ def test_verify_shift():
     assert not verify_shift(broken, 10)
     assert verify_shift(eigensequence(25), 25)
     assert verify_shift(eigensequence(120), 120)
+
+
+@pytest.mark.parametrize(
+    "terms, order",
+    [([1, True], 2), ([1, 1, 2, 6, 23.0], 5), ([1, "a"], 2), (["x"], 1), ([True, 1], 2)],
+)
+def test_verify_shift_checks_every_term_it_reads(terms, order):
+    with pytest.raises(InvalidInputError):
+        verify_shift(terms, order)
