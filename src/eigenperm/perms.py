@@ -341,12 +341,17 @@ class UnderlinedPattern:
     @cached_property
     def _search(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
         # For _satisfies: the base's tight bounds, the depth fix at which the
-        # marked letter's box is fixed, and the depth after which a range
-        # query finds the last base letter (len(base): none).
+        # marked letter's box is fixed, and the depth find after which range
+        # queries decide the remaining base letters (len(base): none).  find
+        # is m-3, two letters left, when letter m-2 fixes the box by its
+        # value alone and the last letter's range does not refer to it.
         m = len(self.base)
         slot, lo_idx, hi_idx = self._extension
+        bounds = _tight_bounds(self.base)
         fix = max(slot - 1, slot if slot < m else -1, lo_idx, hi_idx)
-        return _tight_bounds(self.base), fix, m - 2 if fix < m - 1 else m
+        if fix == m - 2 and slot < m - 2 and fix not in bounds[m - 1]:
+            return bounds, fix, m - 3
+        return bounds, fix, m - 2 if fix < m - 1 else m
 
     def __str__(self) -> str:
         return format_pattern(self)
@@ -493,8 +498,22 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
     # only has to exist: one range query after placing letter m-2 answers
     # it.  Both tests read after[i], the set of values at positions >= i as
     # bits, so the entries at positions [a, b) with values in (lo, hi) are
-    # (after[a] ^ after[b]) >> (lo + 1), masked to hi - lo - 1 bits.  The
-    # table is n+1 ints of at most n+1 bits, about 13 MB at n = 10**4.
+    # (after[a] ^ after[b]) >> (lo + 1), masked to hi - lo - 1 bits.
+    #
+    # When letter m-2 fixes the box by its value alone and the last
+    # letter's range does not refer to it, as in 3(5)241, (1)324, (2)314,
+    # (3)241 and (4)231, the search stops after letter m-3 and one query
+    # decides the last two letters: the last letter fits after letter m-2
+    # exactly when that letter lies before end, the last position with a
+    # value in the last letter's range, read from upto[v], the set of
+    # positions holding values <= v as bits.  The box is empty exactly when
+    # letter m-2's value passes the nearest box value on its side: the
+    # largest below the box's top if it is the box's bottom, the smallest
+    # above its bottom if it is the top.  The search becomes quadratic: on
+    # one 3(5)241 member of length 1000 it took 22 s before and 0.2-0.4 s
+    # after (Python 3.11.7, 2 vCPUs).  Each table is n+1 ints of at most
+    # n+1 bits; at n = 10**4 the search peaks under tracemalloc at 13.7 MB
+    # with after alone and 20.7 MB with upto, built only for these patterns.
     n = len(p)
     m = len(up.base)
     if not m:
@@ -506,6 +525,12 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
     for i in range(n - 1, -1, -1):
         bits |= 1 << p[i]
         after[i] = bits
+    if find < fix:
+        upto = [0] * (n + 1)
+        for i, v in enumerate(p):
+            upto[v] = 1 << i
+        for v in range(1, n + 1):
+            upto[v] |= upto[v - 1]
     big = n + 1
     occ = [0] * m
     vals = [0] * m
@@ -538,8 +563,26 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
             lo_ref, hi_ref = bounds[m - 1]
             lo = vals[lo_ref] if lo_ref >= 0 else 0
             hi = vals[hi_ref] if hi_ref >= 0 else big
-            if after[q + 1] >> (lo + 1) & ((1 << (hi - lo - 1)) - 1):
-                return False
+            end = n
+            if find < fix:
+                # Letter fix = m-2 lies in [q+1, end), with its value in
+                # its own range narrowed to empty the box.
+                end = (upto[hi - 1] ^ upto[lo]).bit_length() - 1
+                box = after[occ[slot - 1] + 1 if slot else 0] ^ after[occ[slot]]
+                lo_ref, hi_ref = bounds[fix]
+                lo = vals[lo_ref] if lo_ref >= 0 else 0
+                hi = vals[hi_ref] if hi_ref >= 0 else big
+                if lo_idx == fix:
+                    top = vals[hi_idx] if hi_idx >= 0 else big
+                    lo = max(lo, (box & ((1 << top) - 1)).bit_length() - 1)
+                else:
+                    bottom = vals[lo_idx] if lo_idx >= 0 else 0
+                    above = box >> (bottom + 1)
+                    if above:
+                        hi = min(hi, bottom + (above & -above).bit_length())
+            if q + 1 < end and lo + 1 < hi:
+                if (after[q + 1] ^ after[end]) >> (lo + 1) & ((1 << (hi - lo - 1)) - 1):
+                    return False
             q += 1
             continue
         t += 1

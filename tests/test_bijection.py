@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from eigenperm import (
     StarredPermutation,
     all_underlined4,
     collapse_stars,
+    complement,
     eigen_compose,
     eigen_decompose,
     expand_stars,
@@ -431,6 +433,33 @@ def test_recogniser_matches_definition_at_lengths_100_to_150():
     assert seen == {False, True}
 
 
+def test_recogniser_matches_definition_at_lengths_400_to_800():
+    rng = random.Random(400800)
+    up = parse_pattern("3(5)241")
+    seen = set()
+    for _ in range(6):
+        p = _random_member(rng.randint(400, 800), rng)
+        for word in (p, _transposed(p, rng)):
+            ok = satisfies(word, up)
+            assert fast_35241ok(word) == ok, word
+            seen.add(ok)
+    assert seen == {False, True}
+
+
+def test_satisfies_on_a_member_of_length_2000_is_quadratic():
+    # A cubic search over partial 324 occurrences takes minutes on this
+    # member; the one-query step for the last two base letters, about a
+    # second.
+    rng = random.Random(1)
+    up = parse_pattern("3(5)241")
+    p = _random_member(2000, rng)
+    words = (p, _transposed(p, rng))
+    start = time.perf_counter()
+    got = [satisfies(word, up) for word in words]
+    assert time.perf_counter() - start < 5.0
+    assert got == [fast_35241ok(word) for word in words] == [True, False]
+
+
 def _occurrence_satisfies(p, up):
     """satisfies by its definition, read off the listed base occurrences.
 
@@ -491,6 +520,72 @@ def test_satisfies_matches_its_occurrence_definition():
                 assert got == _occurrence_satisfies(word, up), (str(up), word)
                 seen.add((_box_fixed_early(up), got))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _last_two_in_one_query(up):
+    # True when the letter before the last is the last to bound the box,
+    # and bounds only its values, and it is not among the earlier letters
+    # nearest in value to the last letter: then satisfies decides the last
+    # two letters with one query.
+    w = up.full[up.mark - 1]
+    rest = up.full[: up.mark - 1] + up.full[up.mark:]
+    m = len(rest)
+    by_position = {up.mark - 2, up.mark - 1} & set(range(m))
+    by_value = {t for t, v in enumerate(rest) if v in (w - 1, w + 1)}
+    below = max((v for v in rest[:-1] if v < rest[-1]), default=0)
+    above = min((v for v in rest[:-1] if v > rest[-1]), default=0)
+    fixed_by_value = max(by_position | by_value, default=-1) == m - 2 and m - 2 not in by_position
+    return fixed_by_value and rest[m - 2] not in (below, above)
+
+
+def _random_231_avoider(values, rng):
+    # The largest value, with the smaller values before it than after it.
+    if not values:
+        return ()
+    k = rng.randint(0, len(values) - 1)
+    return _random_231_avoider(values[:k], rng) + (values[-1],) + _random_231_avoider(values[k:-1], rng)
+
+
+def test_one_query_serves_four_marked_4_patterns_and_3_5_241():
+    ups = all_underlined4() + [parse_pattern("3(5)241")]
+    served = [str(up) for up in ups if _last_two_in_one_query(up)]
+    assert served == ["(1)324", "(2)314", "(3)241", "(4)231", "3(5)241"]
+    # satisfies takes the step, find before fix, for exactly these patterns.
+    for up in ups + [parse_pattern(s) for s in ("(1)", "(1)2", "2(1)", "1(3)2", "21(6)534", "41(5)7263")]:
+        _, fix, find = up._search
+        assert (find < fix) == _last_two_in_one_query(up), str(up)
+
+
+def test_one_query_patterns_match_their_occurrence_definition():
+    # For each pattern: random words of length 10-80, members of its class
+    # (a leading 1, a 231-avoider or a composed member, or a complement),
+    # 3(5)241 members of length 40-100, and one transposition of each.
+    rng = random.Random(2314)
+
+    def leading_one(n):
+        return (1, *(v + 1 for v in rng.sample(range(1, n), n - 1)))
+
+    def avoider(n):
+        return _random_231_avoider(tuple(range(1, n + 1)), rng)
+
+    build = {
+        "(1)324": leading_one,
+        "(4)231": lambda n: complement(leading_one(n)),
+        "(3)241": avoider,
+        "(2)314": lambda n: complement(avoider(n)),
+        "3(5)241": lambda n: _random_member(n, rng),
+    }
+    for text, member in build.items():
+        up = parse_pattern(text)
+        seen = set()
+        for _ in range(4):
+            n = rng.randint(10, 80)
+            words = (tuple(rng.sample(range(1, n + 1), n)), member(n), _random_member(rng.randint(40, 100), rng))
+            for word in (*words, *(_transposed(w, rng) for w in words)):
+                got = satisfies(word, up)
+                assert got == _occurrence_satisfies(word, up), (text, word)
+                seen.add(got)
+        assert seen == {False, True}, text
 
 
 def test_list_to_marked_validates():

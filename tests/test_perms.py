@@ -439,8 +439,9 @@ def test_census_matches_satisfies_on_every_marked_4_pattern(pattern_census_table
 
 @pytest.mark.parametrize(
     "text",
-    # The mark first, inside and last; bases longer than n; 8 > 7 letters.
-    ["(1)", "(1)2", "2(1)", "1(3)2", "3(5)241", "31(5)42", "21(6)534", "41(5)7263"],
+    # The mark first, inside and last; bases longer than n; 8 > 7 letters;
+    # (1)324, whose last two base letters satisfies decides with one query.
+    ["(1)", "(1)2", "2(1)", "1(3)2", "(1)324", "3(5)241", "31(5)42", "21(6)534", "41(5)7263"],
 )
 def test_census_matches_satisfies_to_length_8(text):
     up = parse_pattern(text)
