@@ -23,10 +23,9 @@ import math
 from functools import lru_cache
 
 
-def census(n: int, bounds: tuple[tuple[int, int], ...], extension: tuple[int, int, int]) -> int:
+def census(n: int, plan: tuple) -> int:
     # The permutations of [n] in which every occurrence of the base extends.
-    # bounds is the base's _tight_bounds and extension the pattern's
-    # _extension; the caller checks n.
+    # plan is the pattern's UnderlinedPattern._plan; the caller checks n.
     k = min(n, 7)
     every, below, less = _lane_tables(k)
     lanes = math.factorial(k)
@@ -39,7 +38,7 @@ def census(n: int, bounds: tuple[tuple[int, int], ...], extension: tuple[int, in
             for v, r in zip(prefix, ranks)
         ]
         lt += [[col[r] for r in ranks] + list(row) for col, row in zip(below, less)]
-        count += lanes - _failing_lanes(lt, every, bounds, extension).bit_count()
+        count += lanes - _failing_lanes(lt, every, plan).bit_count()
     return count
 
 
@@ -62,31 +61,28 @@ def _lane_tables(k: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[
     return every, tuple(below), less
 
 
-def _failing_lanes(
-    lt: list[list[int]], every: int, bounds: tuple[tuple[int, int], ...], extension: tuple[int, int, int]
-) -> int:
+def _failing_lanes(lt: list[list[int]], every: int, plan: tuple) -> int:
     # The lanes of one block (lt, every as in census) where some occurrence
     # of the base does not extend.  Walks the position sets of the base in
     # lex order; masks[t] holds the lanes where the first t chosen positions
-    # match the base, and a branch ends as soon as no lane is left.
+    # match the base, and a branch ends as soon as no lane is left.  The
+    # floor and ceiling, indices m and m+1, bound no value.
     n = len(lt)
+    bounds, left, right, lo, hi = plan[:5]
     m = len(bounds)
-    slot, lo_idx, hi_idx = extension
     bad = 0
     masks = [every] * (m + 1)
-    occ = [0] * m
+    occ = [0] * m + [-1, n]
     t = q = 0
     while True:
         if t == m:
             # Clear the lanes where some gap position extends the occurrence;
             # the empty base has one empty position set, and its gap is all.
             mask = masks[m]
-            a = occ[slot - 1] + 1 if slot else 0
-            b = occ[slot] if slot < m else n
-            for x in range(a, b):
-                extends = lt[occ[lo_idx]][x] if lo_idx >= 0 else every
-                if hi_idx >= 0:
-                    extends &= lt[x][occ[hi_idx]]
+            for x in range(occ[left] + 1, occ[right]):
+                extends = lt[occ[lo]][x] if lo < m else every
+                if hi < m:
+                    extends &= lt[x][occ[hi]]
                 mask &= ~extends
                 if not mask:
                     break
@@ -100,9 +96,9 @@ def _failing_lanes(
             continue
         lo_ref, hi_ref = bounds[t]
         mask = masks[t]
-        if lo_ref >= 0:
+        if lo_ref < m:
             mask &= lt[occ[lo_ref]][q]
-        if hi_ref >= 0:
+        if hi_ref < m:
             mask &= lt[q][occ[hi_ref]]
         occ[t] = q
         q += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -324,34 +324,31 @@ class UnderlinedPattern:
         return _reduce(rest)
 
     @cached_property
-    def _extension(self) -> tuple[int, int, int]:
-        # (slot, lo_idx, hi_idx): the inserted entry must sit after base
-        # position slot-1 and before base position slot, with value between
-        # the occurrence values at base indices lo_idx and hi_idx (-1: none).
-        w = self.full[self.mark - 1]
-        rest = self.full[: self.mark - 1] + self.full[self.mark:]
-        lo = hi = -1
-        for t, v in enumerate(rest):
-            if v == w - 1:
-                lo = t
-            elif v == w + 1:
-                hi = t
-        return self.mark - 1, lo, hi
-
-    @cached_property
-    def _search(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
-        # For _satisfies: the base's tight bounds, the depth fix at which the
-        # marked letter's box is fixed, and the depth find after which range
-        # queries decide the remaining base letters (len(base): none).  find
-        # is m-3, two letters left, when letter m-2 fixes the box by its
-        # value alone and the last letter's range does not refer to it.
-        m = len(self.base)
-        slot, lo_idx, hi_idx = self._extension
-        bounds = _tight_bounds(self.base)
-        fix = max(slot - 1, slot if slot < m else -1, lo_idx, hi_idx)
-        if fix == m - 2 and slot < m - 2 and fix not in bounds[m - 1]:
-            return bounds, fix, m - 3
-        return bounds, fix, m - 2 if fix < m - 1 else m
+    def _plan(self) -> tuple[tuple[tuple[int, int], ...], int, int, int, int, int, int]:
+        # The search plan (bounds, left, right, lo, hi, fix, find) of the
+        # base, of length m, for every walk that reads it.  Indices m and
+        # m+1 name a floor (value 0, position -1) and a ceiling (value n+1,
+        # position n), which each walk appends to its occ and vals arrays.
+        # bounds is the base's _tight_bounds.  The marked letter w sits
+        # between the positions at base indices left and right and between
+        # the values at lo and hi; the reduced base keeps the values below w
+        # and lowers those above it by one, so w-1 and w+1 became w-1 and w.
+        # fix is the depth at which this box is fixed, and find the depth
+        # after which range queries decide the remaining base letters (m:
+        # none).  find is m-3, two letters left, when letter m-2 fixes the
+        # box by its value alone and the last letter's range does not refer
+        # to it.
+        base, slot, w = self.base, self.mark - 1, self.full[self.mark - 1]
+        m = len(base)
+        bounds = _tight_bounds(base)
+        left = slot - 1 if slot else m
+        right = slot if slot < m else m + 1
+        lo = base.index(w - 1) if w > 1 else m
+        hi = base.index(w) if w <= m else m + 1
+        fix = max(x if x < m else -1 for x in (left, right, lo, hi))
+        if fix == m - 2 and right < m - 2 and fix not in bounds[m - 1]:
+            return bounds, left, right, lo, hi, fix, m - 3
+        return bounds, left, right, lo, hi, fix, m - 2 if fix < m - 1 else m
 
     def __str__(self) -> str:
         return format_pattern(self)
@@ -413,21 +410,26 @@ def apply_pattern_symmetry(up: UnderlinedPattern, g: str | Iterable[str]) -> Und
     return UnderlinedPattern(full, mark)
 
 
-@lru_cache(maxsize=None)
 def _tight_bounds(pattern: Perm) -> tuple[tuple[int, int], ...]:
-    # For each pattern index t, the earlier indices holding the closest
-    # pattern values below and above pattern[t] (-1: unbounded).  Checking
-    # these two suffices for order-isomorphism of a partial match.
-    bounds = []
+    # For each index t of a standard pattern of length m, the earlier
+    # indices holding the closest pattern values below and above pattern[t],
+    # where m names the floor and m+1 the ceiling.  Checking these two
+    # suffices for order-isomorphism of a partial match.  Read right to
+    # left, the values still linked in the value-ordered list are those at
+    # earlier indices, so a letter's neighbours there are its bounds.
+    m = len(pattern)
+    below = list(range(-1, m + 1))  # list neighbours of the values 0..m+1
+    above = list(range(1, m + 3))
+    where = [m] * (m + 2)  # the index holding each value
+    where[m + 1] = m + 1
     for t, v in enumerate(pattern):
-        lo_ref = hi_ref = -1
-        lo_val, hi_val = 0, len(pattern) + 1
-        for s in range(t):
-            if lo_val < pattern[s] < v:
-                lo_val, lo_ref = pattern[s], s
-            elif v < pattern[s] < hi_val:
-                hi_val, hi_ref = pattern[s], s
-        bounds.append((lo_ref, hi_ref))
+        where[v] = t
+    bounds = [(m, m + 1)] * m
+    for t in range(m - 1, -1, -1):
+        v = pattern[t]
+        lo, hi = below[v], above[v]
+        bounds[t] = where[lo], where[hi]
+        above[lo], below[hi] = hi, lo
     return tuple(bounds)
 
 
@@ -439,8 +441,7 @@ def _iter_occurrences(p: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
         return
     bounds = _tight_bounds(pattern)
     occ = [0] * m
-    vals = [0] * m
-    big = n + 1
+    vals = [0] * m + [0, n + 1]
     t = q = 0
     while True:
         if q > n - (m - t):
@@ -451,7 +452,7 @@ def _iter_occurrences(p: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
             continue
         v = p[q]
         lo_ref, hi_ref = bounds[t]
-        if (vals[lo_ref] if lo_ref >= 0 else 0) < v < (vals[hi_ref] if hi_ref >= 0 else big):
+        if vals[lo_ref] < v < vals[hi_ref]:
             occ[t] = q
             vals[t] = v
             if t == m - 1:
@@ -491,8 +492,8 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
     # A search for one violating occurrence: a base occurrence whose box,
     # the position gap and value gap the marked letter would fill, holds no
     # entry.  p is standard, possibly empty.  The box is fixed once the base
-    # letters on either side of the slot and those at lo_idx and hi_idx are
-    # placed, at depth fix; there it is tested once, and a partial
+    # letters at the plan's left, right, lo and hi (here lo_idx and hi_idx)
+    # are placed, at depth fix; there it is tested once, and a partial
     # occurrence with an entry in its box is dropped, since no completion
     # of it violates.  When fix comes before the last letter, that letter
     # only has to exist: one range query after placing letter m-2 answers
@@ -518,8 +519,7 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
     m = len(up.base)
     if not m:
         return n > 0
-    slot, lo_idx, hi_idx = up._extension
-    bounds, fix, find = up._search
+    bounds, left, right, lo_idx, hi_idx, fix, find = up._plan
     after = [0] * (n + 1)
     bits = 0
     for i in range(n - 1, -1, -1):
@@ -531,9 +531,8 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
             upto[v] = 1 << i
         for v in range(1, n + 1):
             upto[v] |= upto[v - 1]
-    big = n + 1
-    occ = [0] * m
-    vals = [0] * m
+    occ = [0] * m + [-1, n]
+    vals = [0] * m + [0, n + 1]
     t = q = 0
     while True:
         if q > n - (m - t):
@@ -544,39 +543,33 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
             continue
         v = p[q]
         lo_ref, hi_ref = bounds[t]
-        if not (vals[lo_ref] if lo_ref >= 0 else 0) < v < (vals[hi_ref] if hi_ref >= 0 else big):
+        if not vals[lo_ref] < v < vals[hi_ref]:
             q += 1
             continue
         occ[t] = q
         vals[t] = v
         if t == fix:
-            a = occ[slot - 1] + 1 if slot else 0
-            b = occ[slot] if slot < m else n
-            lo = vals[lo_idx] if lo_idx >= 0 else 0
-            hi = vals[hi_idx] if hi_idx >= 0 else big
-            if (after[a] ^ after[b]) >> (lo + 1) & ((1 << (hi - lo - 1)) - 1):
+            lo, hi = vals[lo_idx], vals[hi_idx]
+            if (after[occ[left] + 1] ^ after[occ[right]]) >> (lo + 1) & ((1 << (hi - lo - 1)) - 1):
                 q += 1
                 continue
             if t == m - 1:
                 return False
         if t == find:
             lo_ref, hi_ref = bounds[m - 1]
-            lo = vals[lo_ref] if lo_ref >= 0 else 0
-            hi = vals[hi_ref] if hi_ref >= 0 else big
+            lo, hi = vals[lo_ref], vals[hi_ref]
             end = n
             if find < fix:
                 # Letter fix = m-2 lies in [q+1, end), with its value in
                 # its own range narrowed to empty the box.
                 end = (upto[hi - 1] ^ upto[lo]).bit_length() - 1
-                box = after[occ[slot - 1] + 1 if slot else 0] ^ after[occ[slot]]
+                box = after[occ[left] + 1] ^ after[occ[right]]
                 lo_ref, hi_ref = bounds[fix]
-                lo = vals[lo_ref] if lo_ref >= 0 else 0
-                hi = vals[hi_ref] if hi_ref >= 0 else big
+                lo, hi = vals[lo_ref], vals[hi_ref]
                 if lo_idx == fix:
-                    top = vals[hi_idx] if hi_idx >= 0 else big
-                    lo = max(lo, (box & ((1 << top) - 1)).bit_length() - 1)
+                    lo = max(lo, (box & ((1 << vals[hi_idx]) - 1)).bit_length() - 1)
                 else:
-                    bottom = vals[lo_idx] if lo_idx >= 0 else 0
+                    bottom = vals[lo_idx]
                     above = box >> (bottom + 1)
                     if above:
                         hi = min(hi, bottom + (above & -above).bit_length())
@@ -619,7 +612,7 @@ def census(up: UnderlinedPattern, n: int) -> int:
     _within_limit("census", n, CENSUS_LIMIT)
     from ._lanes import census as lane_census  # here, so that commands that never count skip it
 
-    return lane_census(n, _tight_bounds(up.base), up._extension)
+    return lane_census(n, up._plan)
 
 
 def fast_35241ok(p: Iterable[int]) -> bool:

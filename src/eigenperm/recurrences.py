@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .perms import InvalidInputError, _as_tuple, _checked_size, _within_limit
 

@@ -12,6 +12,8 @@ from eigenperm import (
     MarkedPermutation,
     StarredPermutation,
     all_underlined4,
+    apply_pattern_symmetry,
+    apply_symmetry,
     collapse_stars,
     complement,
     eigen_compose,
@@ -552,38 +554,73 @@ def test_one_query_serves_four_marked_4_patterns_and_3_5_241():
     assert served == ["(1)324", "(2)314", "(3)241", "(4)231", "3(5)241"]
     # satisfies takes the step, find before fix, for exactly these patterns.
     for up in ups + [parse_pattern(s) for s in ("(1)", "(1)2", "2(1)", "1(3)2", "21(6)534", "41(5)7263")]:
-        _, fix, find = up._search
+        *_, fix, find = up._plan
         assert (find < fix) == _last_two_in_one_query(up), str(up)
 
 
+def _leading_one(n, rng):
+    return (1, *(v + 1 for v in rng.sample(range(1, n), n - 1)))
+
+
+def _avoider(n, rng):
+    return _random_231_avoider(tuple(range(1, n + 1)), rng)
+
+
+# A random member of length n of each one-query pattern's class: a leading
+# 1, a 231-avoider or a composed member, or a complement.
+ONE_QUERY_MEMBERS = {
+    "(1)324": _leading_one,
+    "(4)231": lambda n, rng: complement(_leading_one(n, rng)),
+    "(3)241": _avoider,
+    "(2)314": lambda n, rng: complement(_avoider(n, rng)),
+    "3(5)241": _random_member,
+}
+
+# The seven symmetries other than the identity, as generator words.
+SYMMETRY_WORDS = (
+    "complement", "reverse", "inverse", "complement reverse",
+    "reverse inverse", "inverse reverse", "complement reverse inverse",
+)
+
+
 def test_one_query_patterns_match_their_occurrence_definition():
-    # For each pattern: random words of length 10-80, members of its class
-    # (a leading 1, a 231-avoider or a composed member, or a complement),
+    # For each pattern: random words of length 10-80, members of its class,
     # 3(5)241 members of length 40-100, and one transposition of each.
     rng = random.Random(2314)
-
-    def leading_one(n):
-        return (1, *(v + 1 for v in rng.sample(range(1, n), n - 1)))
-
-    def avoider(n):
-        return _random_231_avoider(tuple(range(1, n + 1)), rng)
-
-    build = {
-        "(1)324": leading_one,
-        "(4)231": lambda n: complement(leading_one(n)),
-        "(3)241": avoider,
-        "(2)314": lambda n: complement(avoider(n)),
-        "3(5)241": lambda n: _random_member(n, rng),
-    }
-    for text, member in build.items():
+    for text, member in ONE_QUERY_MEMBERS.items():
         up = parse_pattern(text)
         seen = set()
         for _ in range(4):
             n = rng.randint(10, 80)
-            words = (tuple(rng.sample(range(1, n + 1), n)), member(n), _random_member(rng.randint(40, 100), rng))
+            words = (tuple(rng.sample(range(1, n + 1), n)), member(n, rng), _random_member(rng.randint(40, 100), rng))
             for word in (*words, *(_transposed(w, rng) for w in words)):
                 got = satisfies(word, up)
                 assert got == _occurrence_satisfies(word, up), (text, word)
+                seen.add(got)
+        assert seen == {False, True}, text
+
+
+def test_satisfies_is_invariant_under_every_symmetry():
+    # Each one-query pattern's orbit mixes patterns that satisfies decides
+    # with the one query and patterns, such as 142(5)3, that it walks in
+    # full, with the floor and ceiling in mirrored places.  So the two
+    # searches check each other on class members of length 30-80, one
+    # transposition of each and a random word of its length.
+    probe = (2, 4, 1, 3, 5)
+    assert len({probe} | {apply_symmetry(probe, w) for w in SYMMETRY_WORDS}) == 8
+    rng = random.Random(53241)
+    for text, member in ONE_QUERY_MEMBERS.items():
+        up = parse_pattern(text)
+        images = [apply_pattern_symmetry(up, w) for w in SYMMETRY_WORDS]
+        assert {_last_two_in_one_query(im) for im in images} == {False, True}, text
+        seen = set()
+        for _ in range(3):
+            n = rng.randint(30, 80)
+            p = member(n, rng)
+            for word in (p, _transposed(p, rng), tuple(rng.sample(range(1, n + 1), n))):
+                got = satisfies(word, up)
+                for w, image in zip(SYMMETRY_WORDS, images):
+                    assert satisfies(apply_symmetry(word, w), image) == got, (text, w, word)
                 seen.add(got)
         assert seen == {False, True}, text
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -62,7 +63,7 @@ from eigenperm import (
     window_forward,
     window_plan,
 )
-from eigenperm.perms import _checked_standard, _lrmax_factors
+from eigenperm.perms import _checked_standard, _lrmax_factors, _tight_bounds
 
 words = st.lists(st.integers(1, 50), max_size=9, unique=True).map(tuple)
 small_perms = st.integers(0, 7).flatmap(
@@ -384,6 +385,52 @@ def test_occurrences_against_brute_force():
                     if reduce_word(p[i] for i in positions) == pat
                 ]
                 assert occurrences(p, pat) == expected
+
+
+def quadratic_tight_bounds(pattern):
+    """_tight_bounds by a quadratic scan of the earlier letters, with m for the floor and m+1 for the ceiling."""
+    m = len(pattern)
+    bounds = []
+    for t, v in enumerate(pattern):
+        lo_ref, hi_ref = m, m + 1
+        lo_val, hi_val = 0, m + 1
+        for s in range(t):
+            if lo_val < pattern[s] < v:
+                lo_val, lo_ref = pattern[s], s
+            elif v < pattern[s] < hi_val:
+                hi_val, hi_ref = pattern[s], s
+        bounds.append((lo_ref, hi_ref))
+    return tuple(bounds)
+
+
+def test_tight_bounds_match_the_quadratic_scan():
+    for m in range(8):
+        for pattern in itertools.permutations(range(1, m + 1)):
+            assert _tight_bounds(pattern) == quadratic_tight_bounds(pattern), pattern
+    rng = random.Random(300)
+    for _ in range(200):
+        m = rng.randint(20, 300)
+        pattern = tuple(rng.sample(range(1, m + 1), m))
+        assert _tight_bounds(pattern) == quadratic_tight_bounds(pattern), pattern
+
+
+LONG = tuple(range(1, 100001))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: contains((2, 1), LONG), False),
+        (lambda: occurrences((2, 1), LONG), []),
+        (lambda: satisfies((1, 2), UnderlinedPattern(LONG, 1)), True),
+    ],
+    ids=["contains", "occurrences", "satisfies"],
+)
+def test_a_pattern_of_100000_letters_is_read_in_linear_time(call, expected):
+    # A quadratic bounds scan would take about 5 * 10**9 steps here.
+    start = time.perf_counter()
+    assert call() == expected
+    assert time.perf_counter() - start < 2
 
 
 def test_contains_and_avoider_counts():
