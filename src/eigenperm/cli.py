@@ -42,17 +42,23 @@ _FAST_PATTERN = parse_pattern("3(5)241")
 # name -> (its first n terms, the largest n accepted).  The routes cost
 # O(n^2)-O(n^3) big-integer operations on operands that grow with n; at its
 # ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs), "a" about
-# 6 s with its partner process (10-11 s on one CPU) and "eigen" about 6-7 s.
+# 3-6 s in one process and "eigen" about 6-7 s.
 # Routes are looked up at call time, so a patched or traced attribute is the
 # one run.
 _SEQUENCES = {
     "eigen": (lambda n: series.eigensequence(n), 400),
-    "a": (lambda n: list(recurrences.recurrence_tables(n).a[1:]), 400),
+    "a": (lambda n: recurrences.counts_via_dominance(n)[1:], 400),
     "catalan": (lambda n: recurrences.catalan_numbers(n)[1:], 5000),
     "bell": (lambda n: recurrences.bell_numbers(n)[1:], 4000),
     "a051295": (lambda n: four_patterns.a051295_terms(n)[1:], 1000),
     "new4": (lambda n: four_patterns.new4_terms(n)[1:], 300),
 }
+
+
+# Integer flags, read by the text forms' rule (ASCII digits, here after an
+# optional "-"), not by argparse's int, which takes any script's digits,
+# underscores and blanks.
+_INT_FLAGS = {"n": "--n", "max_n": "--max-n"}
 
 
 def _sequence_terms(name: str, n: int, command: str) -> list[int]:
@@ -167,14 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="print a counting sequence")
     p_seq.add_argument("name", choices=tuple(_SEQUENCES))
-    p_seq.add_argument("--n", type=int, required=True, help="number of terms")
+    p_seq.add_argument("--n", required=True, help="number of terms")
     p_seq.add_argument("--bfile", action="store_true", help="one 'n value' per line")
     p_seq.add_argument("--json", action="store_true", help="JSON records")
     p_seq.set_defaults(func=_cmd_seq)
 
     p_count = sub.add_parser("count", help="census a marked pattern")
     p_count.add_argument("--pattern", required=True, help='for example "3(5)241"')
-    p_count.add_argument("--n", type=int, required=True, help="permutation length")
+    p_count.add_argument("--n", required=True, help="permutation length")
     route = p_count.add_mutually_exclusive_group()
     route.add_argument(
         "--brute", action="store_true", help="exhaustive census (default)"
@@ -185,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_cls = sub.add_parser("classify4", help="classify the 96 marked 4-patterns")
-    p_cls.add_argument("--max-n", type=int, default=6, help="largest length counted")
+    p_cls.add_argument("--max-n", default="6", help="largest length counted")
     p_cls.add_argument("--json", action="store_true", help="JSON records")
     p_cls.set_defaults(func=_cmd_classify4)
 
@@ -205,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a consistency suite")
     p_ver.add_argument("--suite", choices=verify.SUITES, required=True)
-    p_ver.add_argument("--max-n", type=int, default=6)
+    p_ver.add_argument("--max-n", default="6")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser
@@ -215,6 +221,8 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in _INT_FLAGS.keys() & vars(args).keys():
+            setattr(args, dest, textforms._int_token(getattr(args, dest), name=_INT_FLAGS[dest]))
         return args.func(args)
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ non-Catalan classes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -267,15 +266,8 @@ def count_1342ok_by_position(n: int, k: int) -> int:
     _checked_size(k, "k", 1)
     if k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
-    return _1342ok_column(n)[k - 1]
-
-
-@functools.lru_cache(maxsize=1)
-def _1342ok_column(n: int) -> list[int]:
-    # Column n of the power table of B = sum_i (i-1)! x^i, kept for the
-    # callers that read every k at one n.
     *_, column = _power_columns([math.factorial(i) for i in range(n)])
-    return column
+    return column[k - 1]
 
 
 def new4_terms(n_max: int) -> list[int]:

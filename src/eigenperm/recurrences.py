@@ -12,9 +12,7 @@ compositions: one is a pass over non-crossing path pairs, one a convolution.
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -35,16 +33,6 @@ __all__ = [
 
 # The largest n that compositions accepts (2^(n-1) compositions of n).
 COMPOSITION_LIMIT = 16
-
-# Rows past this one are split with a partner process when the tables reach
-# at least twice as far: shorter tables, and the rows before it, cost less
-# than the fork and the per-row exchanges save.
-_SPLIT_ROW = 60
-
-# Nonblocking polls of the link before a blocking receive: the other half of
-# a row is usually tens of microseconds away, and waking a sleeping process
-# costs more than that.
-_SPIN = 5000
 
 
 @dataclass(frozen=True)
@@ -71,10 +59,6 @@ def recurrence_tables(n_max: int) -> RecurrenceTables:
     * a_{n,k} = sum_{i<k} a_i * sum_{j>=k-i} a_{n-1-i,j}   (k < n),
       and a_{n,n} = a_{n-1}.
 
-    From n_max = 120 on, when this process may run on two CPUs and can
-    fork, a partner process computes half of each row past row 60; the
-    tables are the same either way.
-
     >>> t = recurrence_tables(4)
     >>> t.a
     (1, 1, 2, 6, 23)
@@ -91,149 +75,19 @@ def recurrence_tables(n_max: int) -> RecurrenceTables:
     # a_{n,k} reads S_{n-1-i,k-i} for i < k, all on diagonal d = n-1-k,
     # which after row n-1 holds exactly those k sums, the one for i = 0 last.
     diag: list[list[int]] = []
-    tables = a, c, rows, diag
-    if n_max >= 2 * _SPLIT_ROW and _usable_cpus() >= 2 and _can_fork():
-        _fill(tables, _SPLIT_ROW)
-        _fill_in_pair(tables, n_max)
-    else:
-        _fill(tables, n_max)
-    return RecurrenceTables(tuple(a), tuple(c), tuple(rows))
-
-
-def _fill(tables: tuple[list, list, list, list], n_max: int, link: _Link | None = None) -> None:
-    # Extend a, c, rows and diag through row n_max.  With a link, this process
-    # computes the entries on diagonals of its parity and the link delivers
-    # the others; an entry it does not deliver is computed here.
-    a, c, rows, diag = tables
-    for n in range(len(rows) + 1, n_max + 1):
+    for n in range(1, n_max + 1):
         if n >= 2:
             c.append(sum(map(mul, range(1, n), rows[n - 2])))
         a.append(sum(map(mul, a, reversed(c))))
-        # entries[d] = a_{n,n-1-d}, the dot product along diagonal d.
-        entries: list[int | None] = [None] * (n - 1)
-        for d in range(n - 1) if link is None else range(link.parity, n - 1, 2):
-            entries[d] = sum(map(mul, a, reversed(diag[d])))
-        if link is not None and not link.swap(entries):
-            link = None
-        row = [sum(map(mul, a, reversed(diag[d]))) if e is None else e for d, e in enumerate(entries)]
+        # row[d] = a_{n,n-1-d}, the dot product along diagonal d.
+        row = [sum(map(mul, a, reversed(diag[d]))) for d in range(n - 1)]
         row.reverse()
         row.append(a[n - 1])
         rows.append(tuple(row))
         diag.append([])
         for d, total in enumerate(accumulate(reversed(row))):
             diag[d].append(total)
-
-
-def _usable_cpus() -> int:
-    # The CPUs this process may run on, or 1 where the platform cannot tell.
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else 1
-
-
-def _can_fork() -> bool:
-    # A fork copies only the calling thread, so a process with others never forks.
-    import _thread
-
-    return hasattr(os, "fork") and _thread._count() == 0
-
-
-def _fill_in_pair(tables: tuple[list, list, list, list], n_max: int) -> None:
-    # Fork a partner that fills the odd diagonals of every row while this
-    # process fills the even ones; both keep the whole state.  The partner
-    # leaves only through os._exit, so it never returns into the caller or
-    # flushes the stdio it inherited, and it is reaped here, whatever happens.
-    # _socket, not socket, which would add selectors and enum to the first call.
-    import _socket
-
-    try:
-        lead, follow = _socket.socketpair()
-    except OSError:
-        return _fill(tables, n_max)
-    try:
-        pid = os.fork()
-    except OSError:
-        lead.close()
-        follow.close()
-        return _fill(tables, n_max)
-    if pid == 0:
-        code = 1
-        try:
-            lead.close()
-            import gc
-
-            gc.disable()  # a collection would copy pages the caller still shares
-            _fill(tables, n_max, _Link(follow, 1))
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        follow.close()
-        _fill(tables, n_max, _Link(lead, 0))
-    finally:
-        lead.close()
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # SIGCHLD ignored: the system reaped it
-            pass
-
-
-class _Link:
-    """One end of the socket pair: swaps a row's halves with the other process.
-
-    Parity 0 is the caller: it sends its half first, and a lost partner
-    makes swap return False.  Parity 1 is the partner: it sends first only a
-    half that fits a quarter of the socket's buffer, so the two sends never
-    wait on each other, and a lost caller raises.  MSG_NOSIGNAL keeps a
-    send to a dead peer from raising SIGPIPE, which the CLI leaves at its
-    default action.
-    """
-
-    def __init__(self, sock, parity: int) -> None:
-        import _socket
-
-        self.sock, self.parity, self.flags = sock, parity, _socket.MSG_NOSIGNAL
-        self.nowait = _socket.MSG_DONTWAIT
-        self.room = sock.getsockopt(_socket.SOL_SOCKET, _socket.SO_SNDBUF) // 4
-
-    def swap(self, entries: list) -> bool:
-        own, theirs = slice(self.parity, None, 2), slice(1 - self.parity, None, 2)
-        payload = marshal.dumps(entries[own])
-        frame = len(payload).to_bytes(8, "little") + payload
-        early = self.parity == 0 or len(frame) <= self.room
-        try:
-            if early:
-                self.sock.sendall(frame, self.flags)
-            got = self._receive()
-            if not early:
-                self.sock.sendall(frame, self.flags)
-            if type(got) is not list or len(got) != len(entries[theirs]):
-                raise EOFError("a half of the wrong size")
-        except (OSError, EOFError, ValueError, TypeError):
-            if self.parity:
-                raise
-            return False
-        entries[theirs] = got
-        return True
-
-    def _receive(self) -> object:
-        return marshal.loads(self._read(int.from_bytes(self._read(8), "little")))
-
-    def _read(self, size: int) -> bytearray:
-        data = bytearray(size)
-        view = memoryview(data)
-        while view:
-            for _ in range(_SPIN):
-                try:
-                    got = self.sock.recv_into(view, 0, self.nowait)
-                    break
-                except BlockingIOError:
-                    pass
-            else:
-                got = self.sock.recv_into(view)
-            if not got:
-                raise EOFError("the other process closed the link")
-            view = view[got:]
-        return data
+    return RecurrenceTables(tuple(a), tuple(c), tuple(rows))
 
 
 def compositions(n: int) -> list[tuple[int, ...]]:

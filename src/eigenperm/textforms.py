@@ -24,13 +24,18 @@ __all__ = [
 ]
 
 
-def _int_token(token: str, text: str) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise InvalidInputError(f"bad entry {_echo(token)} in {_echo(text)}")
+def _int_token(token: str, text: str | None = None, name: str = "entry") -> int:
+    # The one integer grammar: ASCII digits, so no other script's digits,
+    # underscores or blanks.  An entry of ``text`` has no sign; a
+    # command-line value (no ``text``) may start with one "-".
+    digits = token[1:] if text is None and token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        where = "" if text is None else f" in {_echo(text)}"
+        raise InvalidInputError(f"bad {name} {_echo(token)}{where}")
     try:
         return int(token)
     except ValueError:  # past the interpreter's int-from-str digit limit
-        raise InvalidInputError(f"entry {_echo(token)} has {len(token)} digits, too many to read") from None
+        raise InvalidInputError(f"{name} {_echo(token)} has {len(digits)} digits, too many to read") from None
 
 
 def parse_perm(text: str) -> Perm:

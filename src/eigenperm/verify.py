@@ -15,8 +15,8 @@ from . import bijection, four_patterns, perms, recurrences, series
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 # The largest max_n the recurrences checks accept: their routes at order
-# max_n + 2 take about 9-11 s together there (Python 3.11, 2 vCPUs; 12-13 s
-# on one CPU).  The other checks cap their own sizes.
+# max_n + 2 take about 8-12 s together there, in one process (Python 3.11,
+# 2 vCPUs).  The other checks cap their own sizes.
 RECURRENCES_LIMIT = 350
 
 

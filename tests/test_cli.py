@@ -107,6 +107,7 @@ def test_seq_refuses_n_past_its_ceiling(capsys, monkeypatch):
     for module, name in (
         (series, "eigensequence"),
         (recurrences, "recurrence_tables"),
+        (recurrences, "counts_via_dominance"),
         (recurrences, "catalan_numbers"),
         (recurrences, "bell_numbers"),
         (four_patterns, "a051295_terms"),
@@ -122,6 +123,61 @@ def test_seq_refuses_n_past_its_ceiling(capsys, monkeypatch):
     code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "401", "--fast")
     assert (code, out) == (3, "")
     assert err.startswith("limit exceeded: count ") and "400" in err and "seq" not in err
+
+
+SEQ_A_300_SHA256 = "50ea6dade00ce7404591556eb01143fa69f37dcbc0d512cbc30321463d181bc7"
+
+
+def test_seq_a_at_300_is_pinned(capsys):
+    # The digest of the output that the recurrence triangle gave; count
+    # --fast prints its last term.
+    code, out, err = invoke(capsys, "seq", "a", "--n", "300")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQ_A_300_SHA256
+    code, count, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "300", "--fast")
+    assert (code, count, err) == (0, out.split()[-1] + "\n", "")
+
+
+def test_the_counting_routes_run_in_one_process(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("a counting route forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    counts = recurrences.counts_via_dominance(150)
+    assert list(recurrences.recurrence_tables(150).a) == counts
+    code, out, err = invoke(capsys, "seq", "a", "--n", "150")
+    assert (code, out, err) == (0, " ".join(map(str, counts[1:])) + "\n", "")
+    code, out, err = invoke(capsys, "verify", "--suite", "recurrences", "--max-n", "150")
+    assert (code, err) == (0, "")
+    assert out and all(line.startswith("PASS") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--pattern", "3(5)241", "--n", "٣"),
+        ("count", "--pattern", "3(5)241", "--n", "1_0"),
+        ("seq", "eigen", "--n", " ３ "),
+        ("seq", "eigen", "--n", "+3"),
+        ("seq", "eigen", "--n", "abc"),
+        ("classify4", "--max-n", "٥"),
+        ("verify", "--suite", "all", "--max-n", " 6"),
+    ],
+    ids=["arabic-indic", "underscore", "fullwidth-blanks", "plus", "letters", "max-n arabic-indic", "max-n blank"],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    # --n and --max-n follow the text forms' rule: ASCII digits after an
+    # optional "-", refused through run's one diagnostic line, not argparse.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: bad --") and err.count("\n") == 1
+
+
+def test_integer_flags_keep_their_ascii_messages(capsys):
+    code, out, err = invoke(capsys, "seq", "a", "--n", "-3")
+    assert (code, out, err) == (2, "", "invalid input: --n must be a positive integer, got -3\n")
+    code, out, err = invoke(capsys, "count", "--pattern", "3(5)241", "--n", "007")
+    assert (code, out, err) == (0, "2982\n", "")
 
 
 def test_count_brute_and_fast_agree(capsys):

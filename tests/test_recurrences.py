@@ -4,10 +4,6 @@ import gc
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import time
 
 import pytest
@@ -85,104 +81,6 @@ def digest(tables):
 def test_tables_at_120_are_pinned():
     # The digest of the tables that the row-indexed triangle gave.
     assert digest(recurrence_tables(120)) == PINNED_120
-
-
-@pytest.mark.parametrize("cpus", [2, 1], ids=["with_partner", "alone"])
-def test_tables_are_the_same_with_and_without_a_partner(monkeypatch, cpus):
-    # The CPU probe decides whether a partner process takes half of each
-    # row past _SPLIT_ROW; every row it delivers is counted here.
-    delivered = []
-    swap = recurrences._Link.swap
-
-    def counted_swap(link, entries):
-        ok = swap(link, entries)
-        delivered.append(ok)
-        return ok
-
-    monkeypatch.setattr(recurrences._Link, "swap", counted_swap)
-    monkeypatch.setattr(recurrences, "_usable_cpus", lambda: cpus)
-    split_row = recurrences._SPLIT_ROW
-    monkeypatch.setattr(recurrences, "_SPLIT_ROW", 8)
-    assert recurrence_tables(40) == literal_tables(40)
-    monkeypatch.setattr(recurrences, "_SPLIT_ROW", split_row)
-    assert digest(recurrence_tables(120)) == PINNED_120
-    assert delivered == [True] * ((40 - 8) + (120 - split_row) if cpus > 1 else 0)
-
-
-def run_python(code):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(recurrences.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_partner_that_dies_leaves_the_caller_to_finish_alone():
-    # The partner raises at row 90, before it sends its half; the caller
-    # waits, so that its own send meets a closed socket, with SIGPIPE at its
-    # default action as the CLI sets it.
-    code = textwrap.dedent(
-        """
-        import hashlib, signal, time
-        from eigenperm import recurrences
-
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-        recurrences._usable_cpus = lambda: 2
-        swap = recurrences._Link.swap
-
-        def failing_swap(link, entries):
-            if len(entries) == 89:
-                if link.parity:
-                    raise RuntimeError("the partner fails")
-                time.sleep(0.2)
-            return swap(link, entries)
-
-        recurrences._Link.swap = failing_swap
-        print(hashlib.sha256(repr(recurrences.recurrence_tables(120)).encode()).hexdigest())
-        """
-    )
-    proc = run_python(code)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, PINNED_120 + "\n", "")
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_no_partner_outlives_the_call():
-    # After a normal return and after an exception in the caller mid-run,
-    # the process has no child left, running or unreaped.
-    code = textwrap.dedent(
-        """
-        import os
-        from eigenperm import recurrences
-
-        def no_children():
-            try:
-                os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                return True
-            return False
-
-        recurrences._usable_cpus = lambda: 2
-        recurrences.recurrence_tables(120)
-        assert no_children()
-        swap = recurrences._Link.swap
-
-        def failing_swap(link, entries):
-            if len(entries) == 89 and not link.parity:
-                raise RuntimeError("the caller fails")
-            return swap(link, entries)
-
-        recurrences._Link.swap = failing_swap
-        try:
-            recurrences.recurrence_tables(120)
-        except RuntimeError:
-            pass
-        else:
-            raise AssertionError("the injected failure did not reach the caller")
-        assert no_children()
-        print("ok")
-        """
-    )
-    proc = run_python(code)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_tables_validation():
