@@ -17,11 +17,13 @@ a union of whole factors, and the window reads only the LR maxima and
 their positions, the LIT entries and each pane's set of other entries,
 all of which the sort keeps.  So :func:`window_forward` and
 :func:`window_inverse` are :func:`marked_to_list` and
-:func:`list_to_marked` behind a 321 check.
-Public functions validate their arguments once; the private cores behind
-them pass standard permutations and ascending mark tuples to each other
-without checking again.  Every stage has an explicit inverse here, and
-each is exercised round-trip by the test suite.
+:func:`list_to_marked` behind a 321 check.  One forward pass feeds both
+:func:`marked_to_list` and :func:`window_plan`.
+Public functions validate their arguments once (an empty slot needs no
+check); the private cores behind them pass standard permutations and
+ascending mark tuples to each other without checking again.  Every stage
+has an explicit inverse here, and each is exercised round-trip by the
+test suite.
 """
 
 from __future__ import annotations
@@ -165,20 +167,29 @@ def star_encode(p: Iterable[int]) -> tuple[Perm, StarredPermutation]:
 
 def _star_encode(q: Perm) -> tuple[Perm, Perm, tuple[int, ...], int]:
     # q: a nonempty class member.  Returns rho and the starred sigma as
-    # (base, before, after_max).
-    pos = q.index(len(q))
-    sigma, tau = q[:pos], q[pos + 1:]
-    sig_sorted = sorted(sigma)
-    pos_of = {v: i for i, v in enumerate(sigma)}
-    before = [0] * len(sigma)
-    after = 0
-    for c in tau:
-        i = bisect_right(sig_sorted, c)
-        if i == len(sig_sorted):
-            after += 1
+    # (base, before, after_max).  One walk up the values below n ranks each
+    # within its half; the tau values since the last sigma value are the
+    # stars on the next one, and those left at the end follow the maximum.
+    n = len(q)
+    pos = q.index(n)
+    sigma = q[:pos]
+    in_sigma = [False] * n
+    for v in sigma:
+        in_sigma[v] = True
+    rank = [0] * n
+    stars = [0] * n  # stars[v]: the stars before sigma value v
+    s = run = 0  # the sigma values so far, and the tau values since the last
+    for v in range(1, n):
+        if in_sigma[v]:
+            s += 1
+            rank[v] = s
+            stars[v] = run
+            run = 0
         else:
-            before[pos_of[sig_sorted[i]]] += 1
-    return _reduce(tau), _reduce(sigma), tuple(before), after
+            rank[v] = v - s
+            run += 1
+    rho = tuple(rank[v] for v in q[pos + 1:])
+    return rho, tuple(rank[v] for v in sigma), tuple(stars[v] for v in sigma), run
 
 
 def star_decode(rho: Iterable[int], starred: StarredPermutation) -> Perm:
@@ -356,59 +367,83 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
 
 
 def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
+    # window_plan without validation: the pass, assembled.  Each row's
+    # panes, read back, come in position order and so by head value.
+    starts, assoc, panes = _window_pass(qq, marks)
+    return WindowPlan(
+        pane_spans=tuple(sorted(span for row in panes for span in row)),
+        initial_starts=tuple(starts),
+        associations=tuple(assoc),
+        insertion=(*reversed(assoc), *(qq[s] for s in starts)),
+        rows=tuple(tuple(qq[a] for a, _ in reversed(row)) for row in panes),
+    )
+
+
+def _window_pass(
+    qq: Perm, marks: tuple[int, ...]
+) -> tuple[list[int], list[int | None], list[list[tuple[int, int]]]]:
     # qq: a nonempty class member, whose factor tails need no sorting (see
-    # the module docstring); marks: ascending.  The window holds (loose
-    # max, row) per pane, leftmost first: initial pane r is row r, and a
-    # pane a step creates takes the row of the pane it drops.
+    # the module docstring); marks: ascending.  Returns the initial starts,
+    # the associations and each row's position spans, initial pane first,
+    # then those gained, right to left.  The pass counts in whole factors.
+    # The window holds (loose max, row) per pane, leftmost first: initial
+    # pane r is row r, and a pane a step creates takes the row of the pane
+    # it drops.
     n = len(qq)
-    lrpos, lit = _chain(qq)
-    lrvals = [qq[i] for i in lrpos]  # rising, and ending at n
-    # The LIT values rise by 1 from lrvals[lit], so e + 1 is head lit + e + 1 - lrvals[lit].
-    starts = [lrpos[lit], *(lrpos[lit + e + 1 - lrvals[lit]] for e in marks)]
-    heads = set(lrpos)
-
-    def loose_max(a: int, b: int) -> int:
-        return max((qq[x] for x in range(a, b) if x not in heads), default=0)
-
-    spans = list(zip(starts, starts[1:] + [n]))
-    window = deque((loose_max(*span), row) for row, span in enumerate(spans))
+    # Factor f covers the positions cuts[f] to cuts[f + 1]; its head is
+    # lrvals[f], and tops[f] is its largest tail entry (0 for none).
+    cuts: list[int] = []
+    lrvals: list[int] = []  # rising, and ending at n
+    tops: list[int] = []
+    top = 0
+    for i, v in enumerate(qq):
+        if v > top:
+            cuts.append(i)
+            lrvals.append(v)
+            tops.append(0)
+            top = v
+        elif v > tops[-1]:
+            tops[-1] = v
+    cuts.append(n)
+    lit = bisect_right(lrvals, max(tops))  # the LIT entries exceed every tail entry
+    # The LIT values rise by 1 from lrvals[lit], so e + 1 heads factor lit + e + 1 - lrvals[lit].
+    firsts = [lit, *(lit + e + 1 - lrvals[lit] for e in marks)]
+    window: deque[tuple[int, int]] = deque()
     # The loose maxima that no pane to their left exceeds: non-decreasing,
     # so the last is the window's maximum.
     peaks: deque[int] = deque()
-    for pm, _ in window:
+    panes = []
+    for row, (a, b) in enumerate(zip(firsts, [*firsts[1:], len(lrvals)])):
+        pm = max(tops[a:b])
+        window.append((pm, row))
         if not peaks or pm >= peaks[-1]:
             peaks.append(pm)
-    rows = [[qq[s]] for s in starts]
-    left = starts[0]  # the LRmax entries left of it are not yet empaned
+        panes.append([(cuts[a], cuts[b])])
+    left = lit  # the factors left of it are not yet empaned
     assoc: list[int | None] = []
     while window:
         pm, row = window.pop()
         if peaks[-1] == pm:
             peaks.pop()
         m = peaks[-1] if peaks else 0
-        choice = lrpos[bisect_right(lrvals, m)]
-        if choice < left:
-            assoc.append(qq[choice])
-            rows[row].append(qq[choice])
-            pm = loose_max(choice, left)
+        f = bisect_right(lrvals, m)
+        if f < left:
+            assoc.append(lrvals[f])
+            panes[row].append((cuts[f], cuts[left]))
+            pm = max(tops[f:left])
             while peaks and peaks[0] < pm:
                 peaks.popleft()
             peaks.appendleft(pm)
             window.appendleft((pm, row))
-            spans.append((choice, left))
-            left = choice
+            left = f
         else:
             assoc.append(None)  # the row closes
-    spans.sort()
-    if [a for a, _ in spans] != sorted({a for a, _ in spans}) or spans[0][0] != 0:
+    edge = 0  # in position order, each pane starts where the last one ends
+    for a, b in sorted(itertools.chain.from_iterable(panes)):
+        edge = b if a == edge else -1
+    if edge != n:
         raise AssertionError("pane spans do not tile the permutation")
-    return WindowPlan(
-        pane_spans=tuple(spans),
-        initial_starts=tuple(starts),
-        associations=tuple(assoc),
-        insertion=(*reversed(assoc), *(qq[s] for s in starts)),
-        rows=tuple(tuple(sorted(row)) for row in rows),
-    )
+    return [cuts[f] for f in firsts], assoc, panes
 
 
 def window_forward(marked: MarkedPermutation) -> tuple[Perm, ...]:
@@ -442,17 +477,10 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
 
 
 def _to_list(p: Perm, marks: tuple[int, ...]) -> tuple[Perm, ...]:
-    # p: a nonempty class member; marks: ascending.
-    plan = _window_plan(p, marks)
-    span_by_head = {p[a]: (a, b) for a, b in plan.pane_spans}
-    items = []
-    for row in plan.rows:
-        word: list[int] = []
-        for head in row:
-            a, b = span_by_head[head]
-            word.extend(p[a:b])
-        items.append(_reduce(word))
-    return tuple(items)
+    # p: a nonempty class member; marks: ascending.  A row's panes, read
+    # back from the last one gained, run left to right.
+    _, _, panes = _window_pass(p, marks)
+    return tuple(_reduce([v for a, b in reversed(row) for v in p[a:b]]) for row in panes)
 
 
 def _checked_items(items: Iterable[Iterable[int]]) -> tuple[Perm, ...]:
@@ -495,9 +523,9 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
     # ascending; list_to_marked describes the pass.  The per-item lists run
     # from the last item to the first, the order in which the items take
     # the top values and are first visited.
-    b = sum(len(it) for it in items)  # the next value to place
+    b = sum(map(len, items))  # the next value to place
     values: list[list[int]] = []
-    heads: list[set[int]] = []
+    heads: list[list[bool]] = []  # per position: is it a left-to-right maximum
     blanks: list[deque[int]] = []
     panes: list[list[tuple[int, int]]] = []  # the initial pane first
     for it in reversed(items):
@@ -511,7 +539,10 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
             vals[pos] = b
             b -= 1
         values.append(vals)
-        heads.append(set(lrpos))
+        head = [False] * len(it)
+        for x in lrpos:
+            head[x] = True
+        heads.append(head)
         blanks.append(deque(reversed(where[:cut])))
         panes.append([(where[cut], len(it))])
     open_items = deque(range(len(items)))
@@ -519,11 +550,14 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
         if not open_items:
             raise InvalidInputError("the inverse window pass stalled; invalid item list")
         i = open_items.popleft()
-        blank, covered, placed = blanks[i], panes[i][-1][0], b
-        first = covered
-        while blank and (blank[0] >= covered or blank[0] in heads[i]):
-            first = min(first, blank[0])
-            values[i][blank.popleft()] = b
+        vals, head, blank = values[i], heads[i], blanks[i]
+        covered = first = panes[i][-1][0]
+        placed = b
+        while blank and (blank[0] >= covered or head[blank[0]]):
+            x = blank.popleft()
+            if x < covered:
+                first = x  # a head: those come right to left, as values fall
+            vals[x] = b
             b -= 1
         if b == placed:
             continue  # the item closes: nothing this visit read can change
@@ -534,7 +568,7 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
     chunks: list[tuple[int, ...]] = []
     for vals, spans in zip(values, panes):
         chunks.extend(tuple(vals[a:z]) for a, z in spans)
-    chunks.sort(key=lambda c: c[0])
+    chunks.sort()  # by their heads, which differ
     return tuple(itertools.chain.from_iterable(chunks)), tuple(marks)
 
 
@@ -569,22 +603,23 @@ def eigen_compose(rho: Iterable[int], items: Iterable[Iterable[int]]) -> Perm:
     (3, 4, 1, 2)
     """
     r = _checked_member(rho)
-    its = tuple(_checked_member(it) for it in _as_tuple(items, "the item list"))
+    its = tuple(map(_checked_member, _as_tuple(items, "the item list")))
     k = len(its)
     if k == 0:
         raise InvalidInputError("the item list must contain at least one slot")
     if len(r) != k - 1:
         raise InvalidInputError(f"rho must have length {k - 1}, got {len(r)}")
-    nonempty = tuple(it for it in its if it)
+    nonempty = tuple(filter(None, its))
     if not nonempty:
         return (k,) + r
-    bits = tuple(1 if it else 0 for it in its)
     perm, marks = _from_list(nonempty)
-    before, _ = _expand_stars(perm, marks, bits)
+    before, _ = _expand_stars(perm, marks, tuple(map(bool, its)))
     return _star_decode(r, perm, before)
 
 
 def _checked_member(p: Iterable[int]) -> Perm:
+    if type(p) is tuple and not p:
+        return p  # an empty slot, like most slots of a short member's list
     q = _checked_standard(p)
     if not _fast_ok(q):
         raise InvalidInputError(f"a 3(5)241-OK permutation is required, got {_echo(q)}")

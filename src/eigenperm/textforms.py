@@ -40,7 +40,8 @@ def _int_token(token: str, text: str | None = None, name: str = "entry") -> int:
 
 def parse_perm(text: str) -> Perm:
     """Parse "3 5 2 4 1"; the empty string is the empty permutation."""
-    return as_perm(_int_token(t, text) for t in _of_kind(text, str, "the text").split())
+    tokens = _of_kind(text, str, "the text").split()
+    return as_perm(_int_token(t, text) for t in tokens) if tokens else ()
 
 
 def format_perm(p: Iterable[int]) -> str:

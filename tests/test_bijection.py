@@ -406,6 +406,28 @@ def test_round_trips_on_large_composed_members(n):
         assert list_to_marked(marked_to_list(marked)) == marked
 
 
+def test_window_plan_and_marked_to_list_agree_on_long_members():
+    # One pass feeds both views: the items cut from p by the plan of its
+    # tail-sorted form are the items marked_to_list returns.  A random
+    # member has few LIT entries, so p is built from a list of members,
+    # which gives it one LIT entry per item at least.
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randint(100, 800)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, 40)))
+        sizes = [b - a for a, b in itertools.pairwise((0, *cuts, n))]
+        p = list_to_marked([_random_member(s, rng) for s in sizes]).perm
+        free = sorted(set(lit_entries(p)) - {n})
+        marks = rng.sample(free, rng.randint(0, len(free)))
+        plan = window_plan(sort_factor_tails(p)[0].perm, marks)
+        span_of = {p[a]: (a, b) for a, b in plan.pane_spans}
+        items = tuple(
+            reduce_word([v for head in row for v in p[slice(*span_of[head])]])
+            for row in plan.rows
+        )
+        assert items == marked_to_list(MarkedPermutation(p, frozenset(marks)))
+
+
 def test_recogniser_matches_definition_past_exhaustive_range():
     # Members of length 10..30 and one random transposition of each, most
     # of which leave the class.
