@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import (
@@ -46,7 +45,9 @@ from .perms import (
     _lit,
     _lrmax_factors,
     _of_kind,
+    _Record,
     _reduce,
+    _setfield,
     as_perm,
 )
 
@@ -96,8 +97,7 @@ def split_at_max_ok(sigma: Iterable[int], tau: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StarredPermutation:
+class StarredPermutation(_Record):
     """A standard permutation with stars before LIT entries or after the max.
 
     ``before[i]`` counts the stars immediately preceding position i;
@@ -106,45 +106,44 @@ class StarredPermutation:
     ``after_max`` stars (the degenerate all-from-tau case).
     """
 
-    base: Perm
-    before: tuple[int, ...]
-    after_max: int = 0
+    __match_args__ = ("base", "before", "after_max")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", _checked_standard(self.base))
-        counts = _as_tuple(self.before, "star counts")
-        object.__setattr__(self, "before", tuple(_checked_size(c, "a star count") for c in counts))
-        _checked_size(self.after_max, "after_max")
-        if len(self.before) != len(self.base):
+    def __init__(self, base: Iterable[int], before: Iterable[int], after_max: int = 0) -> None:
+        base = _checked_standard(base)
+        before = tuple(_checked_size(c, "a star count") for c in _as_tuple(before, "star counts"))
+        _checked_size(after_max, "after_max")
+        if len(before) != len(base):
             raise InvalidInputError("one star count per position is required")
-        lit = set(_lit(self.base))
-        for cnt, v in zip(self.before, self.base):
+        lit = set(_lit(base))
+        for cnt, v in zip(before, base):
             if cnt and v not in lit:
                 raise InvalidInputError(f"stars may only precede LIT entries, found {cnt} before {v}")
+        _setfield(self, "base", base)
+        _setfield(self, "before", before)
+        _setfield(self, "after_max", after_max)
 
     @property
     def star_count(self) -> int:
         return sum(self.before) + self.after_max
 
 
-@dataclass(frozen=True)
-class MarkedPermutation:
+class MarkedPermutation(_Record):
     """A standard permutation with a set of marked non-maximal LIT entries."""
 
-    perm: Perm
-    marks: frozenset[int] = frozenset()
+    __match_args__ = ("perm", "marks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", _checked_standard(self.perm))
-        marks = _as_tuple(self.marks, "marks")
-        if not all(isinstance(m, int) and not isinstance(m, bool) for m in marks):
-            raise InvalidInputError(f"marks must be integers, got {_echo(self.marks)}")
-        object.__setattr__(self, "marks", frozenset(marks))
-        allowed = set(_lit(self.perm)) - {len(self.perm)}
-        if not self.marks <= allowed:
+    def __init__(self, perm: Iterable[int], marks: Iterable[int] = frozenset()) -> None:
+        perm = _checked_standard(perm)
+        given = _as_tuple(marks, "marks")
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in given):
+            raise InvalidInputError(f"marks must be integers, got {_echo(marks)}")
+        marks = frozenset(given)
+        if not marks <= set(_lit(perm)) - {len(perm)}:
             raise InvalidInputError(
-                f"marks {_echo(sorted(self.marks))} are not non-maximal LIT entries of {_echo(self.perm)}"
+                f"marks {_echo(sorted(marks))} are not non-maximal LIT entries of {_echo(perm)}"
             )
+        _setfield(self, "perm", perm)
+        _setfield(self, "marks", marks)
 
 
 def star_encode(p: Iterable[int]) -> tuple[Perm, StarredPermutation]:
@@ -319,8 +318,7 @@ def sort_factor_tails(
     return MarkedPermutation(q, marks), factors
 
 
-@dataclass(frozen=True)
-class WindowPlan:
+class WindowPlan(_Record):
     """Everything the moving-window rearrangement decides for one input.
 
     ``pane_spans`` tile [0, n) in position order; ``initial_starts`` are
@@ -332,11 +330,21 @@ class WindowPlan:
     to item r, ascending, with row 0 the first item of the output list.
     """
 
-    pane_spans: tuple[tuple[int, int], ...]
-    initial_starts: tuple[int, ...]
-    associations: tuple[int | None, ...]
-    insertion: tuple[int | None, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __match_args__ = ("pane_spans", "initial_starts", "associations", "insertion", "rows")
+
+    def __init__(
+        self,
+        pane_spans: tuple[tuple[int, int], ...],
+        initial_starts: tuple[int, ...],
+        associations: tuple[int | None, ...],
+        insertion: tuple[int | None, ...],
+        rows: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _setfield(self, "pane_spans", pane_spans)
+        _setfield(self, "initial_starts", initial_starts)
+        _setfield(self, "associations", associations)
+        _setfield(self, "insertion", insertion)
+        _setfield(self, "rows", rows)
 
 
 def _avoids_321(p: Perm) -> bool:

@@ -18,7 +18,6 @@ output pipe ends the process by SIGPIPE, without a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from collections.abc import Sequence
@@ -71,6 +70,8 @@ def _sequence_terms(name: str, n: int, command: str) -> list[int]:
 
 def _emit_sequence(terms: list[int], bfile: bool, as_json: bool) -> None:
     if as_json:
+        import json  # here, as only the --json forms need it
+
         print(json.dumps([{"n": i, "value": v} for i, v in enumerate(terms, 1)]))
     elif bfile:
         sys.stdout.write("".join(f"{i} {v}\n" for i, v in enumerate(terms, 1)))
@@ -112,6 +113,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_classify4(args: argparse.Namespace) -> int:
     classes = four_patterns.classify(max_n=args.max_n)
     if args.json:
+        import json  # here, as only the --json forms need it
+
         records = [
             {
                 "representative": format_pattern(c.representative),

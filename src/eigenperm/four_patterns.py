@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import (
@@ -32,7 +31,9 @@ from .perms import (
     _lrmax_factors,
     _move,
     _of_kind,
+    _Record,
     _satisfies,
+    _setfield,
     _within_limit,
     apply_pattern_symmetry,
     census,
@@ -67,15 +68,24 @@ class ClassificationError(RuntimeError):
     """An orbit's counting sequence matched no reference sequence."""
 
 
-@dataclass(frozen=True)
-class PatternClass:
+class PatternClass(_Record):
     """One symmetry orbit of marked 4-patterns; trivial when labelled Catalan."""
 
-    representative: UnderlinedPattern
-    members: tuple[UnderlinedPattern, ...]
-    label: str
-    trivial: bool
-    counts: tuple[int, ...]
+    __match_args__ = ("representative", "members", "label", "trivial", "counts")
+
+    def __init__(
+        self,
+        representative: UnderlinedPattern,
+        members: tuple[UnderlinedPattern, ...],
+        label: str,
+        trivial: bool,
+        counts: tuple[int, ...],
+    ) -> None:
+        _setfield(self, "representative", representative)
+        _setfield(self, "members", members)
+        _setfield(self, "label", label)
+        _setfield(self, "trivial", trivial)
+        _setfield(self, "counts", counts)
 
 
 def all_underlined4() -> list[UnderlinedPattern]:
@@ -159,20 +169,22 @@ def classification_report(classes: Sequence[PatternClass]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(_Record):
     """A set partition of [n]; blocks are kept sorted by their maxima."""
 
-    blocks: tuple[frozenset[int], ...]
+    __match_args__ = ("blocks",)
 
-    def __post_init__(self) -> None:
-        blocks = tuple(frozenset(_as_tuple(b, "a block")) for b in _as_tuple(self.blocks, "the blocks"))
-        if any(not b for b in blocks):
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        blocks = tuple(_as_tuple(b, "a block") for b in _as_tuple(blocks, "the blocks"))
+        if not all(blocks):
             raise InvalidInputError("blocks must be nonempty")
-        union = sorted(v for b in blocks for v in b)
-        if union != list(range(1, len(union) + 1)):
+        # The entries of a partition of [n] are ints that, sorted, read 1..n
+        # with no repeat; the int check comes first, as mixed types do not sort.
+        entries = [v for b in blocks for v in b]
+        ints = all(isinstance(v, int) and not isinstance(v, bool) for v in entries)
+        if not ints or sorted(entries) != list(range(1, len(entries) + 1)):
             raise InvalidInputError("blocks must partition 1..n")
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=max)))
+        _setfield(self, "blocks", tuple(sorted(map(frozenset, blocks), key=max)))
 
     @property
     def n(self) -> int:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -66,6 +66,47 @@ class InvalidInputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A brute-force operation would exceed its configured size limit."""
+
+
+# Stores a field of a _Record past its refusing __setattr__.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the package's frozen value classes.
+
+    A subclass names its fields in ``__match_args__``; its ``__init__``
+    checks the arguments and stores each field once with ``_setfield``.
+    Instances of one class with equal fields are equal and hash alike,
+    ``repr`` reads ``Name(field=value, ...)``, and assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        key = attrgetter(*cls.__match_args__)
+
+        def __eq__(self: _Record, other: object) -> bool:
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return key(self) == key(other)
+
+        def __hash__(self: _Record) -> int:
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def as_perm(word: Iterable[int]) -> Perm:
@@ -194,8 +235,7 @@ def _chain(p: Sequence[int]) -> tuple[list[int], int]:
     return heads, lit
 
 
-@dataclass(frozen=True)
-class LRMaxFactorization:
+class LRMaxFactorization(_Record):
     """Factorization of a permutation at its left-to-right maxima.
 
     ``factors[i]`` is a pair ``(head, tail)``: a left-to-right maximum and
@@ -205,8 +245,11 @@ class LRMaxFactorization:
     of the heads.
     """
 
-    factors: tuple[tuple[int, Perm], ...]
-    lit_start: int
+    __match_args__ = ("factors", "lit_start")
+
+    def __init__(self, factors: tuple[tuple[int, Perm], ...], lit_start: int) -> None:
+        _setfield(self, "factors", factors)
+        _setfield(self, "lit_start", lit_start)
 
     @property
     def heads(self) -> Perm:
@@ -300,22 +343,22 @@ def apply_symmetry(p: Iterable[int], g: str | Iterable[str]) -> Perm:
     return q
 
 
-@dataclass(frozen=True)
-class UnderlinedPattern:
+class UnderlinedPattern(_Record):
     """A standard permutation with one marked letter.
 
     ``full`` is the complete pattern and ``mark`` the 1-based position of
     the marked letter.  ``3(5)241`` is ``UnderlinedPattern((3, 5, 2, 4, 1), 2)``.
     """
 
-    full: Perm
-    mark: int
+    __match_args__ = ("full", "mark")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "full", _checked_standard(self.full))
-        _checked_size(self.mark, "mark position", 1)
-        if self.mark > len(self.full):
-            raise InvalidInputError(f"mark position {self.mark!r} out of range for {_echo(self.full)}")
+    def __init__(self, full: Iterable[int], mark: int) -> None:
+        full = _checked_standard(full)
+        _checked_size(mark, "mark position", 1)
+        if mark > len(full):
+            raise InvalidInputError(f"mark position {mark!r} out of range for {_echo(full)}")
+        _setfield(self, "full", full)
+        _setfield(self, "mark", mark)
 
     @cached_property
     def base(self) -> Perm:

@@ -13,12 +13,11 @@ compositions: one is a pass over non-crossing path pairs, one a convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .perms import InvalidInputError, _as_tuple, _checked_size, _within_limit
+from .perms import InvalidInputError, _as_tuple, _checked_size, _Record, _setfield, _within_limit
 
 __all__ = [
     "RecurrenceTables",
@@ -35,8 +34,7 @@ __all__ = [
 COMPOSITION_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class RecurrenceTables:
+class RecurrenceTables(_Record):
     """Joint tables a_n, c_n and the triangle a_{n,k}.
 
     ``a[n]`` is the class count for length n (n = 0..N); ``ascent_start``
@@ -44,9 +42,14 @@ class RecurrenceTables:
     counting members of length n with first entry k.
     """
 
-    a: tuple[int, ...]
-    ascent_start: tuple[int, ...]
-    by_first: tuple[tuple[int, ...], ...]
+    __match_args__ = ("a", "ascent_start", "by_first")
+
+    def __init__(
+        self, a: tuple[int, ...], ascent_start: tuple[int, ...], by_first: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _setfield(self, "a", a)
+        _setfield(self, "ascent_start", ascent_start)
+        _setfield(self, "by_first", by_first)
 
 
 def recurrence_tables(n_max: int) -> RecurrenceTables:

@@ -6,28 +6,27 @@ Series here have zero constant term: ``coeffs[i]`` is the coefficient of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .perms import InvalidInputError, _as_tuple, _checked_size, _echo, _of_kind
+from .perms import InvalidInputError, _as_tuple, _checked_size, _echo, _of_kind, _Record, _setfield
 
 __all__ = ["PowerSeries", "compose", "eigensequence", "verify_shift"]
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(_Record):
     """Coefficients of x^1 .. x^N for a series with zero constant term."""
 
-    coeffs: tuple[int, ...]
+    __match_args__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_tuple(self.coeffs, "coefficients"))
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = _as_tuple(coeffs, "coefficients")
+        if len(coeffs) < 1:
             raise InvalidInputError("a series needs at least the x^1 coefficient")
-        for c in self.coeffs:
+        for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InvalidInputError(f"coefficients must be ints, got {_echo(c)}")
+        _setfield(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:

@@ -7,7 +7,6 @@ a configurable size and reports a failed check as a result, not an error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import bijection, four_patterns, perms, recurrences, series
@@ -20,11 +19,15 @@ __all__ = ["CheckResult", "SUITES", "run_suite"]
 RECURRENCES_LIMIT = 350
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(perms._Record):
+    """One check's outcome: its name, whether it passed, and a detail line."""
+
+    __match_args__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        perms._setfield(self, "name", name)
+        perms._setfield(self, "ok", ok)
+        perms._setfield(self, "detail", detail)
 
 
 def _ok_perms(bound: int) -> Iterator[perms.Perm]:

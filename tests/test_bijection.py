@@ -396,13 +396,18 @@ def _random_member(n, rng):
 
 @pytest.mark.parametrize("n", [50, 100, 200, 300])
 def test_round_trips_on_large_composed_members(n):
+    # A random member seldom has a free LIT entry, so p is built from a list
+    # of two or more members, which gives it one per item but the last, and
+    # at least one of them is marked.
     rng = random.Random(n)
     for _ in range(10):
-        p = _random_member(n, rng)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 10)))
+        sizes = [b - a for a, b in itertools.pairwise((0, *cuts, n))]
+        p = list_to_marked([_random_member(s, rng) for s in sizes]).perm
         assert len(p) == n and fast_35241ok(p)
         assert eigen_compose(*eigen_decompose(p)) == p
         free = sorted(set(lit_entries(p)) - {n})
-        marked = MarkedPermutation(p, frozenset(rng.sample(free, rng.randint(0, len(free)))))
+        marked = MarkedPermutation(p, frozenset(rng.sample(free, rng.randint(1, len(free)))))
         assert list_to_marked(marked_to_list(marked)) == marked
 
 

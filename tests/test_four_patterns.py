@@ -157,6 +157,18 @@ def test_set_partition_validation():
     assert [max(b) for b in sp.blocks] == [4, 5]
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[{1}, {"a"}], [{1.0}], [{True}], [[1, 1], [2]]],
+    ids=["mixed types", "float", "bool", "repeated entry"],
+)
+def test_set_partition_rejects_entries_that_are_not_a_partition_of_ints(blocks):
+    # Mixed types once leaked sorted's TypeError; 1.0 and True passed as 1,
+    # and a repeated entry was dropped by the block's frozenset.
+    with pytest.raises(InvalidInputError, match=r"^blocks must partition 1\.\.n$"):
+        SetPartition(blocks)
+
+
 def test_partition_worked_examples():
     p = (4, 1, 2, 6, 7, 3, 5)
     sp = to_partition_increasing(p)
