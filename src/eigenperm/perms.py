@@ -118,7 +118,8 @@ def as_perm(word: Iterable[int]) -> Perm:
     # A tuple needs no conversion, and as_perm runs several times per round trip.
     p = word if type(word) is tuple else _as_tuple(word, "a permutation")
     for e in p:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+        # ``type(e) is int`` first: the common case skips both isinstance calls.
+        if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)) or e < 1:
             raise InvalidInputError(f"entries must be positive integers, got {_echo(p)}")
     if len(set(p)) != len(p):
         raise InvalidInputError(f"entries must be distinct, got {_echo(p)}")

@@ -24,28 +24,47 @@ __all__ = [
 ]
 
 
-def _int_token(token: str, text: str | None = None, name: str = "entry") -> int:
+def _int_token(token: str, text: str | None = None, name: str = "entry", mark: str = "") -> int:
     # The one integer grammar: ASCII digits, so no other script's digits,
-    # underscores or blanks.  An entry of ``text`` has no sign; a
-    # command-line value (no ``text``) may start with one "-".
-    digits = token[1:] if text is None and token[:1] == "-" else token
+    # underscores or blanks.  An entry of ``text`` has no sign, and may end
+    # in ``mark``; a command-line value (no ``text``) may start with one "-".
+    # Messages name the token as written, mark included.
+    body = token.removesuffix(mark)
+    digits = body[1:] if text is None and body[:1] == "-" else body
     if not (digits.isascii() and digits.isdigit()):
         where = "" if text is None else f" in {_echo(text)}"
         raise InvalidInputError(f"bad {name} {_echo(token)}{where}")
     try:
-        return int(token)
+        return int(body)
     except ValueError:  # past the interpreter's int-from-str digit limit
         raise InvalidInputError(f"{name} {_echo(token)} has {len(digits)} digits, too many to read") from None
 
 
 def parse_perm(text: str) -> Perm:
-    """Parse "3 5 2 4 1"; the empty string is the empty permutation."""
+    """Parse "3 5 2 4 1"; the empty string is the empty permutation.
+
+    >>> parse_perm("1 ٣")
+    Traceback (most recent call last):
+    ...
+    eigenperm.perms.InvalidInputError: bad entry '٣' in '1 ٣'
+    """
     tokens = _of_kind(text, str, "the text").split()
-    return as_perm(_int_token(t, text) for t in tokens) if tokens else ()
+    if not tokens:
+        return ()
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():
+        try:
+            entries = tuple(map(int, tokens))
+        except ValueError:  # a token past the int-from-str digit limit
+            pass
+        else:
+            return as_perm(entries)
+    # Bad text: read it again token by token, only to name the first bad one.
+    return as_perm(_int_token(t, text) for t in tokens)
 
 
 def format_perm(p: Iterable[int]) -> str:
-    return " ".join(str(v) for v in (p if type(p) is tuple else _as_tuple(p, "a permutation")))
+    return " ".join(map(str, p if type(p) is tuple else _as_tuple(p, "a permutation")))
 
 
 def parse_marked(text: str) -> MarkedPermutation:
@@ -53,7 +72,7 @@ def parse_marked(text: str) -> MarkedPermutation:
     entries: list[int] = []
     marks: list[int] = []
     for token in _of_kind(text, str, "the text").split():
-        entries.append(_int_token(token.removesuffix("^"), text))
+        entries.append(_int_token(token, text, mark="^"))
         if token.endswith("^"):
             marks.append(entries[-1])
     return MarkedPermutation(tuple(entries), frozenset(marks))
@@ -106,10 +125,15 @@ def parse_perm_list(text: str) -> tuple[Perm, ...]:
 
     Blank text is the one-item list holding the empty permutation; a
     zero-item list has no textual form (lists here always have k >= 1
-    items).
+    items).  A message echoes the stripped item that holds the bad token.
+
+    >>> parse_perm_list("2 1 / 1 x ")
+    Traceback (most recent call last):
+    ...
+    eigenperm.perms.InvalidInputError: bad entry 'x' in '1 x'
     """
-    return tuple(parse_perm(chunk.strip()) for chunk in _of_kind(text, str, "the text").split("/"))
+    return tuple(map(parse_perm, map(str.strip, _of_kind(text, str, "the text").split("/"))))
 
 
 def format_perm_list(items: Iterable[Iterable[int]]) -> str:
-    return " / ".join(format_perm(it) for it in _as_tuple(items, "the item list"))
+    return " / ".join(map(format_perm, _as_tuple(items, "the item list")))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import random
@@ -93,17 +94,30 @@ def naive_satisfies(p, up):
     return True
 
 
+class _Letter(enum.IntEnum):
+    A = 1
+    B = 2
+
+
 def test_as_perm_validation():
-    assert as_perm([3, 1, 2]) == (3, 1, 2)
     assert as_perm(()) == ()
-    with pytest.raises(InvalidInputError):
-        as_perm((1, 1, 2))
-    with pytest.raises(InvalidInputError):
-        as_perm((0, 1))
-    with pytest.raises(InvalidInputError):
-        as_perm((True, 2))
-    with pytest.raises(InvalidInputError):
-        as_perm((1.0, 2))
+    # int subclasses other than bool pass, and come back as they went in.
+    p = (_Letter.B, 3, _Letter.A)
+    assert as_perm(p) is p
+    for word, message in (
+        ((True, 2), "entries must be positive integers, got (True, 2)"),
+        ((1.0, 2), "entries must be positive integers, got (1.0, 2)"),
+        ((0, 1), "entries must be positive integers, got (0, 1)"),
+        ((-1,), "entries must be positive integers, got (-1,)"),
+        (("1",), "entries must be positive integers, got ('1',)"),
+        ((1, 1, 2), "entries must be distinct, got (1, 1, 2)"),
+    ):
+        with pytest.raises(InvalidInputError) as info:
+            as_perm(word)
+        assert str(info.value) == message
+    # Other iterables are converted to tuples.
+    assert as_perm([3, 1, 2]) == (3, 1, 2)
+    assert as_perm(v for v in (2, 1)) == (2, 1)
 
 
 # Each argument documented as an iterable, given something that is not one.

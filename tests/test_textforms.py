@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenperm import (
@@ -18,6 +20,8 @@ from eigenperm import (
     parse_perm_list,
     parse_starred,
 )
+from eigenperm.perms import as_perm
+from eigenperm.textforms import _int_token
 
 perms_text = st.integers(0, 8).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -59,6 +63,21 @@ def test_marked_rejects_bad_marks():
         parse_marked("1 2 3^")  # the maximum cannot carry a mark
     with pytest.raises(InvalidInputError):
         parse_marked("1 2^^ 3")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("^", "bad entry '^' in '^'"),
+        ("3^^", "bad entry '3^^' in '3^^'"),
+        ("1 2^^ 3", "bad entry '2^^' in '1 2^^ 3'"),
+        ("2 ٣^", "bad entry '٣^' in '2 ٣^'"),
+    ],
+)
+def test_marked_messages_name_the_token_as_written(text, message):
+    with pytest.raises(InvalidInputError) as info:
+        parse_marked(text)
+    assert str(info.value) == message
 
 
 def test_starred_round_trip_with_groups():
@@ -130,3 +149,50 @@ def test_perm_list_round_trip():
 def test_perm_list_rejects_garbage():
     with pytest.raises(InvalidInputError):
         parse_perm_list("1 2 / x")
+
+
+# The fast path of parse_perm against the token-by-token reading it replaced:
+# each token through _int_token, then as_perm, each list item stripped.
+def _reference_perm(text):
+    tokens = text.split()
+    return as_perm(_int_token(t, text) for t in tokens) if tokens else ()
+
+
+def _reference_perm_list(text):
+    return tuple(_reference_perm(chunk.strip()) for chunk in text.split("/"))
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # the exception's type and message are compared
+        return type(exc), str(exc)
+
+
+# ASCII digits (0 included), blanks of four kinds, separators and signs,
+# digits of other scripts, a letter, and one token one digit past the
+# interpreter's default int-from-str limit of 4300 digits.  Half the draws
+# are 1-9 or a blank, so well-formed permutations and lists come up too.
+_PIECES = [*"0123456789", " ", "\t", "\n", "\u3000", *"/+-_²٣a", "7" * 4301]
+_texts = st.lists(
+    st.one_of(st.sampled_from("123456789 "), st.sampled_from(_PIECES)), max_size=24
+).map("".join)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_texts)
+def test_parsers_agree_with_the_token_by_token_reading(text):
+    assert _outcome(parse_perm, text) == _outcome(_reference_perm, text)
+    assert _outcome(parse_perm_list, text) == _outcome(_reference_perm_list, text)
+
+
+def test_long_text_parses_in_bounded_time():
+    # Each took well under 1 s on a 2-vCPU host; the bound allows slow hosts.
+    n = 200_000
+    text = " ".join(map(str, range(n, 0, -1)))
+    start = time.perf_counter()
+    assert parse_perm(text) == tuple(range(n, 0, -1))
+    with pytest.raises(InvalidInputError, match=r"^bad entry '1x' in "):
+        parse_perm(text + " 1x")
+    assert parse_perm_list("/" * 99_999) == ((),) * 100_000
+    assert time.perf_counter() - start < 10
