@@ -187,8 +187,8 @@ def _star_encode(q: Perm) -> tuple[Perm, Perm, tuple[int, ...], int]:
         else:
             rank[v] = v - s
             run += 1
-    rho = tuple(rank[v] for v in q[pos + 1:])
-    return rho, tuple(rank[v] for v in sigma), tuple(stars[v] for v in sigma), run
+    rho = tuple(map(rank.__getitem__, q[pos + 1:]))
+    return rho, tuple(map(rank.__getitem__, sigma)), tuple(map(stars.__getitem__, sigma)), run
 
 
 def star_decode(rho: Iterable[int], starred: StarredPermutation) -> Perm:
@@ -211,18 +211,21 @@ def star_decode(rho: Iterable[int], starred: StarredPermutation) -> Perm:
 
 def _star_decode(r: Perm, base: Perm, before: Sequence[int]) -> Perm:
     # r: a class member with one entry per star; base: a class member; the
-    # stars not counted in ``before`` follow the maximum.
+    # stars not counted in ``before`` follow the maximum.  Two index maps,
+    # no per-value dict: step[t] is 1 plus the stars before base value t,
+    # so its running sums give each sigma value its output value, and the
+    # values no sigma entry takes, ascending, are tau's support.  Index 0
+    # stays free, so support[x] is the x-th value of the support.
     n = len(base) + len(r) + 1
-    stars_at = dict(zip(base, before))
-    support: list[int] = []
-    sigma_val = {}
-    for t in range(1, len(base) + 1):
-        nxt = len(support) + t  # the values below it went to earlier stars and sigma entries
-        support.extend(range(nxt, nxt + stars_at[t]))
-        sigma_val[t] = nxt + stars_at[t]
-    support.extend(range(len(support) + len(base) + 1, n))
-    tau = tuple(support[x - 1] for x in r)
-    return tuple(sigma_val[v] for v in base) + (n,) + tau
+    step = [0] * (len(base) + 1)
+    for v, c in zip(base, before):
+        step[v] = c + 1
+    val = list(itertools.accumulate(step))
+    free = bytearray(b"\x01") * n
+    for v in val[1:]:
+        free[v] = 0
+    support = list(itertools.compress(range(n), free))
+    return (*map(val.__getitem__, base), n, *map(support.__getitem__, r))
 
 
 def collapse_stars(starred: StarredPermutation) -> tuple[MarkedPermutation, tuple[int, ...]]:
@@ -286,19 +289,20 @@ def _expand_stars(
     p: Perm, marks: Sequence[int], bits: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
     # marks ascending; bits hold one 1 per mark plus one for the maximum.
-    # Returns (before, after_max) of the starred permutation on p.
-    pos_of = {v: i for i, v in enumerate(p)}
-    targets = iter([pos_of[v] for v in marks] + [pos_of[len(p)]])
+    # Returns (before, after_max) of the starred permutation on p.  The
+    # marks and then the maximum are LIT entries, which rise left to right,
+    # so each search for one resumes where the last one stopped.  The k-th
+    # 1 of bits carries the 0s since the (k-1)-th: the difference of their
+    # positions.
     before = [0] * len(p)
-    run = 0
-    for b in bits:
-        if b:
-            before[next(targets)] += run + 1
-            run = 0
-        else:
-            run += 1
-    before[pos_of[len(p)]] -= 1  # the maximum's 1 is the entry itself, not a star
-    return tuple(before), run
+    x = 0
+    last = -1  # the position of the previous 1
+    for v, one in zip((*marks, len(p)), itertools.compress(range(len(bits)), bits)):
+        x = p.index(v, x)
+        before[x] = one - last
+        last = one
+    before[x] -= 1  # the maximum's 1 is the entry itself, not a star
+    return tuple(before), len(bits) - 1 - last
 
 
 def sort_factor_tails(

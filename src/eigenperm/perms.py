@@ -190,7 +190,7 @@ def reduce_word(word: Iterable[int]) -> Perm:
 def _reduce(p: Sequence[int]) -> Perm:
     # reduce_word without validation: p holds distinct positive ints.
     rank = {v: i for i, v in enumerate(sorted(p), start=1)}
-    return tuple(rank[v] for v in p)
+    return tuple(map(rank.__getitem__, p))
 
 
 def lit_entries(word: Iterable[int]) -> Perm:
@@ -683,27 +683,30 @@ def _fast_ok(p: Sequence[int]) -> bool:
     # heads on its chain.  The stack holds the heads whose tails are open,
     # so an entry lies in the tail of every head left on it once the
     # smaller ones are popped.  Each head carries its floor: the largest
-    # acc of itself and the heads below it.  Only values are compared, so p
-    # need not be standard; the sentinel exceeds every entry.
-    heads = [math.inf]
-    floors = [0]
+    # acc of itself and the heads below it.  The stack lives in two lists
+    # of fixed length, heads[:top + 1] and floors[:top + 1], so a push or
+    # a pop moves top and calls no method.  Only values are compared, so p
+    # need not be standard (split_at_max_ok passes unreduced halves, whose
+    # entries can exceed len(p) + 1); the sentinel at the bottom, never
+    # popped, exceeds every entry.
+    heads = [math.inf] * (len(p) + 1)
+    floors = [0] * (len(p) + 1)
+    top = 0
     for v in p:
-        if heads[-1] > v:  # v starts a chain in the top head's tail
-            floor = floors[-1]
-        else:
+        floor = floors[top]  # v's, if it starts a chain in the top head's tail
+        if heads[top] < v:
             # v closes the tail of each head it pops; the top one's is empty.
             # The last head popped precedes v on its chain.  If its tail is
             # empty, v takes its floor.  Otherwise v's floor is that tail's
             # largest entry, the head popped just before it, which passed
             # the check below against every floor under it.
-            prev = heads.pop()
-            floor = floors.pop()
-            while heads[-1] < v:
-                floor = prev
-                prev = heads.pop()
-                floors.pop()
-        if v < floors[-1]:
+            top -= 1
+            while heads[top] < v:
+                floor = heads[top + 1]
+                top -= 1
+        if v < floors[top]:
             return False
-        heads.append(v)
-        floors.append(floor)
+        top += 1
+        heads[top] = v
+        floors[top] = floor
     return True

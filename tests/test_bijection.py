@@ -38,6 +38,7 @@ from eigenperm import (
     window_plan,
 )
 from eigenperm.bijection import _avoids_321, _window_plan
+from eigenperm.perms import _fast_ok, _reduce
 
 # Length-15 class member whose post-maximum part has support {9, 10, 12, 14}.
 P15 = (2, 8, 3, 1, 11, 4, 6, 5, 13, 7, 15, 9, 10, 14, 12)
@@ -91,6 +92,37 @@ def test_split_at_max_ok_requires_partition():
         split_at_max_ok((1, 2), (2, 3))
 
 
+def test_recogniser_compares_values_only():
+    # The recogniser reads only the order of the values, so a word with
+    # gaps and entries up to 10**9 gets the verdict of its reduction: its
+    # bottom sentinel must exceed every entry, not just len(w) + 1.
+    rng = random.Random(10**9)
+    seen = set()
+    for _ in range(40):
+        p = _random_member(rng.randint(2, 60), rng)
+        for word in (p, _transposed(p, rng)):
+            values = sorted(rng.sample(range(1, 10**9 + 1), len(word)))
+            w = tuple(values[v - 1] for v in word)
+            assert _fast_ok(w) == _fast_ok(_reduce(w)) == _fast_ok(word)
+            seen.add(_fast_ok(w))
+    assert seen == {False, True}
+
+
+def test_split_at_max_ok_agrees_on_every_split_of_long_members():
+    # The halves reach split_at_max_ok unreduced: sigma's entries run up to
+    # n - 1, past len(sigma) + 1 whenever tau holds smaller ones.
+    rng = random.Random(100300)
+    seen = set()
+    for _ in range(4):
+        q = _random_member(rng.randint(100, 300), rng)
+        n = len(q) + 1
+        for i in range(n):
+            ok = split_at_max_ok(q[:i], q[i:])
+            assert ok == fast_35241ok((*q[:i], n, *q[i:])), (q, i)
+            seen.add(ok)
+    assert seen == {False, True}
+
+
 def test_star_encode_worked_example():
     rho, starred = star_encode(P15)
     assert rho == P15_RHO
@@ -134,6 +166,36 @@ def test_collapse_expand_round_trip_exhaustive(ok_perms):
                     assert sum(bits) == len(marked.marks) + 1
                     assert len(bits) == sp.star_count + 1
                     assert expand_stars(marked, bits) == sp
+
+
+def _long_starred(rng):
+    # A base of length 100-800 built from a list of members, so it has one
+    # LIT entry per item at least, with 0-50 stars before some of them and
+    # after the maximum.
+    n = rng.randint(100, 800)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 30)))
+    sizes = [b - a for a, b in itertools.pairwise((0, *cuts, n))]
+    base = list_to_marked([_random_member(s, rng) for s in sizes]).perm
+    lit = lit_entries(base)
+    before = [0] * n
+    for v in rng.sample(lit, rng.randint(1, len(lit))):
+        before[base.index(v)] = rng.randint(0, 50)
+    return StarredPermutation(base, before, after_max=rng.randint(0, 50))
+
+
+def test_star_maps_round_trip_on_long_star_runs():
+    rng = random.Random(800)
+    starred = [_long_starred(rng) for _ in range(12)]
+    starred.append(StarredPermutation((), (), after_max=37))  # all from tau
+    for sp in starred:
+        rho = _random_member(sp.star_count, rng)
+        p = star_decode(rho, sp)
+        assert star_encode(p) == (rho, sp)
+        assert star_decode(*star_encode(p)) == p
+        if sp.base:
+            marked, bits = collapse_stars(sp)
+            assert len(bits) == sp.star_count + 1
+            assert expand_stars(marked, bits) == sp
 
 
 def test_collapse_stars_needs_entries():
@@ -698,6 +760,22 @@ def test_every_small_eigen_decomposition_is_pinned():
     assert digest.hexdigest() == (
         "88ef6c90d5b0b074d54d8db88de3f5c5a12c3bd58fc86252acb929a1805e7f74"
     )
+
+
+def test_eigen_round_trip_with_many_marks_is_linear():
+    # A member of about 10**5 entries with about 20,000 marks: the slots
+    # after rho's 40,000 entries hold small members about half the time.
+    # Each stage is linear, and the two calls take well under a second; a
+    # mark lookup that searched the member from its start each time would
+    # be quadratic and overrun the bound.
+    rng = random.Random(40001)
+    rho = tuple(range(1, 40001))
+    items = [_random_member(rng.randint(1, 5), rng) if rng.random() < 0.5 else () for _ in range(40001)]
+    start = time.perf_counter()
+    p = eigen_compose(rho, items)
+    assert eigen_decompose(p) == (rho, tuple(items))
+    assert time.perf_counter() - start < 5.0
+    assert len(p) > 95_000 and sum(map(bool, items)) > 19_000
 
 
 def test_eigen_compose_is_injective_onto_class(ok_perms):
