@@ -42,6 +42,7 @@ from .perms import (
     _checked_standard,
     _echo,
     _fast_ok,
+    _is_int,
     _lit,
     _lrmax_factors,
     _of_kind,
@@ -135,7 +136,7 @@ class MarkedPermutation(_Record):
     def __init__(self, perm: Iterable[int], marks: Iterable[int] = frozenset()) -> None:
         perm = _checked_standard(perm)
         given = _as_tuple(marks, "marks")
-        if not all(isinstance(m, int) and not isinstance(m, bool) for m in given):
+        if not all(map(_is_int, given)):
             raise InvalidInputError(f"marks must be integers, got {_echo(marks)}")
         marks = frozenset(given)
         if not marks <= set(_lit(perm)) - {len(perm)}:
@@ -335,20 +336,6 @@ class WindowPlan(_Record):
     """
 
     __match_args__ = ("pane_spans", "initial_starts", "associations", "insertion", "rows")
-
-    def __init__(
-        self,
-        pane_spans: tuple[tuple[int, int], ...],
-        initial_starts: tuple[int, ...],
-        associations: tuple[int | None, ...],
-        insertion: tuple[int | None, ...],
-        rows: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _setfield(self, "pane_spans", pane_spans)
-        _setfield(self, "initial_starts", initial_starts)
-        _setfield(self, "associations", associations)
-        _setfield(self, "insertion", insertion)
-        _setfield(self, "rows", rows)
 
 
 def _avoids_321(p: Perm) -> bool:

@@ -28,6 +28,7 @@ from .perms import (
     _as_tuple,
     _checked_standard,
     _echo,
+    _is_int,
     _lrmax_factors,
     _move,
     _of_kind,
@@ -69,23 +70,15 @@ class ClassificationError(RuntimeError):
 
 
 class PatternClass(_Record):
-    """One symmetry orbit of marked 4-patterns; trivial when labelled Catalan."""
+    """One symmetry orbit of marked 4-patterns; trivial when labelled Catalan.
+
+    ``representative`` is the first of ``members``, the orbit's
+    ``UnderlinedPattern``s ordered by (full, mark); ``label`` is the one of
+    ``LABELS`` that the orbit's counts match; ``trivial`` is True when that
+    label is ``"catalan"``; ``counts`` holds the class sizes at n = 0..max_n.
+    """
 
     __match_args__ = ("representative", "members", "label", "trivial", "counts")
-
-    def __init__(
-        self,
-        representative: UnderlinedPattern,
-        members: tuple[UnderlinedPattern, ...],
-        label: str,
-        trivial: bool,
-        counts: tuple[int, ...],
-    ) -> None:
-        _setfield(self, "representative", representative)
-        _setfield(self, "members", members)
-        _setfield(self, "label", label)
-        _setfield(self, "trivial", trivial)
-        _setfield(self, "counts", counts)
 
 
 def all_underlined4() -> list[UnderlinedPattern]:
@@ -181,8 +174,7 @@ class SetPartition(_Record):
         # The entries of a partition of [n] are ints that, sorted, read 1..n
         # with no repeat; the int check comes first, as mixed types do not sort.
         entries = [v for b in blocks for v in b]
-        ints = all(isinstance(v, int) and not isinstance(v, bool) for v in entries)
-        if not ints or sorted(entries) != list(range(1, len(entries) + 1)):
+        if not all(map(_is_int, entries)) or sorted(entries) != list(range(1, len(entries) + 1)):
             raise InvalidInputError("blocks must partition 1..n")
         _setfield(self, "blocks", tuple(sorted(map(frozenset, blocks), key=max)))
 

@@ -13,8 +13,10 @@ instance is part of a 35241 instance.
 The module also provides the left-to-right-maximum factorization, the
 terminal increasing run of top values (LIT entries), the dihedral symmetry
 action on permutations and patterns, brute-force censuses, and a fast
-structural recognizer for the ``3(5)241`` class.  Every reader of the
-left-to-right maxima or the LIT entries shares one linear pass, with no sort.
+structural recognizer for the ``3(5)241`` class.  The left-to-right maxima
+and the LIT entries come from one linear pass, with no sort, which every
+reader here shares; the bijection's window pass keeps its own, as it also
+needs each factor's largest tail entry.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ _setfield = object.__setattr__
 class _Record:
     """Base of the package's frozen value classes.
 
-    A subclass names its fields in ``__match_args__``; its ``__init__``
-    checks the arguments and stores each field once with ``_setfield``.
+    A subclass names its fields in ``__match_args__``.  The constructor
+    here takes each field once, by position or by name, or raises
+    TypeError; a subclass that checks its arguments has its own, which
+    stores each field once with ``_setfield``.
     Instances of one class with equal fields are equal and hash alike,
     ``repr`` reads ``Name(field=value, ...)``, and assigning or deleting
     an attribute raises AttributeError.
@@ -97,6 +101,16 @@ class _Record:
             return hash(key(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        values = dict(zip(names, args), **kwargs)
+        # Given once each, the values fill exactly the fields' names.
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}() takes each of its fields {names} once, "
+                            "by position or by name")
+        for name in names:
+            _setfield(self, name, values[name])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -119,7 +133,7 @@ def as_perm(word: Iterable[int]) -> Perm:
     p = word if type(word) is tuple else _as_tuple(word, "a permutation")
     for e in p:
         # ``type(e) is int`` first: the common case skips both isinstance calls.
-        if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)) or e < 1:
+        if type(e) is not int and not _is_int(e) or e < 1:
             raise InvalidInputError(f"entries must be positive integers, got {_echo(p)}")
     if len(set(p)) != len(p):
         raise InvalidInputError(f"entries must be distinct, got {_echo(p)}")
@@ -149,9 +163,14 @@ def _echo(value: object) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _is_int(value: object) -> bool:
+    # The one int rule: an int, and not a bool.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked_size(value: object, name: str, least: int = 0) -> int:
     # The one check for sizes and counts: an int, not a bool, at least ``least``.
-    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+    if _is_int(value) and value >= least:
         return value
     kinds = {0: "a nonnegative integer", 1: "a positive integer"}
     kind = kinds.get(least, f"an integer of at least {least}")
@@ -165,7 +184,9 @@ def _within_limit(what: str, n: int, limit: int) -> None:
 
 
 def is_standard(p: Sequence[int]) -> bool:
-    """True when ``p`` uses exactly the values 1..len(p).
+    """True when ``p`` uses exactly the values 1..len(p), each an ``int``.
+
+    Any entry that is not an ``int``, a ``bool`` included, makes it False.
 
     >>> is_standard((2, 3, 1))
     True
@@ -173,7 +194,8 @@ def is_standard(p: Sequence[int]) -> bool:
     False
     """
     q = _as_tuple(p, "a permutation")
-    return sorted(q) == list(range(1, len(q) + 1))
+    # The int check comes first, as mixed types do not sort.
+    return all(map(_is_int, q)) and sorted(q) == list(range(1, len(q) + 1))
 
 
 def reduce_word(word: Iterable[int]) -> Perm:
@@ -247,10 +269,6 @@ class LRMaxFactorization(_Record):
     """
 
     __match_args__ = ("factors", "lit_start")
-
-    def __init__(self, factors: tuple[tuple[int, Perm], ...], lit_start: int) -> None:
-        _setfield(self, "factors", factors)
-        _setfield(self, "lit_start", lit_start)
 
     @property
     def heads(self) -> Perm:

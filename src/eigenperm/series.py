@@ -9,7 +9,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .perms import InvalidInputError, _as_tuple, _checked_size, _echo, _of_kind, _Record, _setfield
+from .perms import InvalidInputError, _as_tuple, _checked_size, _echo, _is_int, _of_kind, _Record, _setfield
 
 __all__ = ["PowerSeries", "compose", "eigensequence", "verify_shift"]
 
@@ -24,7 +24,7 @@ class PowerSeries(_Record):
         if len(coeffs) < 1:
             raise InvalidInputError("a series needs at least the x^1 coefficient")
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not _is_int(c):
                 raise InvalidInputError(f"coefficients must be ints, got {_echo(c)}")
         _setfield(self, "coeffs", coeffs)
 

@@ -20,14 +20,9 @@ RECURRENCES_LIMIT = 350
 
 
 class CheckResult(perms._Record):
-    """One check's outcome: its name, whether it passed, and a detail line."""
+    """One check's outcome: its ``name``, whether it passed (``ok``), and a ``detail`` line."""
 
     __match_args__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str) -> None:
-        perms._setfield(self, "name", name)
-        perms._setfield(self, "ok", ok)
-        perms._setfield(self, "detail", detail)
 
 
 def _ok_perms(bound: int) -> Iterator[perms.Perm]:
@@ -131,7 +126,7 @@ SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_n: int) -> list[CheckResult]:
-    if name not in _SUITES:
+    if not isinstance(name, str) or name not in _SUITES:
         raise perms.InvalidInputError(f"unknown suite {perms._echo(name)}; choose from {SUITES}")
     perms._checked_size(max_n, "max_n")
     return [result for suite in _SUITES[name] for result in suite(max_n)]

@@ -93,3 +93,13 @@ def test_value_classes_are_frozen_records_of_their_fields(cls, args, stored, def
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert tuple(getattr(x, name) for name in names) == stored
+    # Like a dataclass, the constructor takes each field once, by position
+    # or by name, and no other name.
+    for bad_args, bad_kwargs in (
+        (args[:required - 1], {}),
+        ((*args, None), {}),
+        (args, {"extra": None}),
+        (args, {names[0]: args[0]}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)

@@ -192,6 +192,10 @@ def test_is_standard():
     assert is_standard(())
     assert is_standard((2, 1, 3))
     assert not is_standard((2, 1, 4))
+    # Entries that are not ints make it False, never an error from sorting.
+    assert not is_standard(("a", 1))
+    assert not is_standard((True,))
+    assert not is_standard((1.0, 2.0))
 
 
 def test_checked_standard_agrees_with_as_perm_and_is_standard():

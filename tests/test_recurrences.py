@@ -146,6 +146,13 @@ def test_dominance_count_examples_and_validation():
         dominance_count(())
     with pytest.raises(InvalidInputError):
         dominance_count((1, 0))
+    # The ceiling is on the total, checked before any table is built.
+    assert dominance_count((recurrences.DOMINANCE_LIMIT,)) == 1
+    for comp in ((2**70,), (10**9,), (1, recurrences.DOMINANCE_LIMIT)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            dominance_count(comp)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_dominance_count_against_enumeration():

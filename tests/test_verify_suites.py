@@ -31,8 +31,9 @@ def test_all_suite_is_the_union():
 
 def test_unknown_suite_rejected():
     assert set(SUITES) == {"recurrences", "bijection", "fourpatterns", "all"}
-    with pytest.raises(InvalidInputError):
-        run_suite("everything", 4)
+    for name in ("everything", [1]):
+        with pytest.raises(InvalidInputError):
+            run_suite(name, 4)
 
 
 def test_negative_max_n_rejected():
