@@ -18,7 +18,10 @@ their positions, the LIT entries and each pane's set of other entries,
 all of which the sort keeps.  So :func:`window_forward` and
 :func:`window_inverse` are :func:`marked_to_list` and
 :func:`list_to_marked` behind a 321 check.  One forward pass feeds both
-:func:`marked_to_list` and :func:`window_plan`.
+:func:`marked_to_list` and :func:`window_plan`.  An unmarked member is
+its own one-item list, so the window passes, and with them the check that
+the panes tile the member, run only for marked members and for lists of
+two or more items; :func:`window_plan` runs the pass on every input.
 Public functions validate their arguments once (an empty slot needs no
 check); the private cores behind them pass standard permutations and
 ascending mark tuples to each other without checking again.  Every stage
@@ -275,7 +278,7 @@ def expand_stars(marked: MarkedPermutation, bits: Sequence[int]) -> StarredPermu
     if not p:
         raise InvalidInputError("cannot expand stars on an empty permutation")
     bts = _as_tuple(bits, "bits")
-    if any(b not in (0, 1) for b in bts):
+    if not all(_is_int(b) and b in (0, 1) for b in bts):
         raise InvalidInputError(f"bits must be 0 or 1, got {_echo(bts)}")
     marks = sorted(marked.marks)
     if sum(bts) != len(marks) + 1:
@@ -465,7 +468,10 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
     The window plan of p equals that of its tail-sorted, 321-avoiding
     form, as it reads only what the sort keeps (see the module docstring).
     Row r of the plan names the panes of p whose concatenation, reduced,
-    becomes item r.
+    becomes item r.  An unmarked member is its own one-item list.
+
+    >>> marked_to_list(MarkedPermutation((2, 1, 3)))
+    ((2, 1, 3),)
     """
     p = _of_kind(marked, MarkedPermutation, "the marked permutation").perm
     if not _fast_ok(p):
@@ -478,6 +484,12 @@ def marked_to_list(marked: MarkedPermutation) -> tuple[Perm, ...]:
 def _to_list(p: Perm, marks: tuple[int, ...]) -> tuple[Perm, ...]:
     # p: a nonempty class member; marks: ascending.  A row's panes, read
     # back from the last one gained, run left to right.
+    if not marks:
+        # One initial pane, from the first LIT entry to the end.  Its step
+        # leaves no pane, so m = 0 and the pane gained (if any) runs from
+        # position 0 up to it; the step after closes the row.  Read back,
+        # the row is p, which is standard and so its own reduction.
+        return (p,)
     _, _, panes = _window_pass(p, marks)
     return tuple(_reduce([v for a, b in reversed(row) for v in p[a:b]]) for row in panes)
 
@@ -522,6 +534,12 @@ def _from_list(items: tuple[Perm, ...]) -> tuple[Perm, tuple[int, ...]]:
     # ascending; list_to_marked describes the pass.  The per-item lists run
     # from the last item to the first, the order in which the items take
     # the top values and are first visited.
+    if len(items) == 1:
+        # A lone item takes its LIT values, then its other values in
+        # descending order, each at its own position: a tail entry left of
+        # the panes waits one visit at most, for its factor's larger head.
+        # So the item comes back unchanged, with no mark.
+        return items[0], ()
     b = sum(map(len, items))  # the next value to place
     values: list[list[int]] = []
     heads: list[list[bool]] = []  # per position: is it a left-to-right maximum

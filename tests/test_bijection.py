@@ -209,6 +209,12 @@ def test_expand_stars_validates_bits():
         expand_stars(marked, (0, 0))  # needs exactly one 1 per mark plus max
     with pytest.raises(InvalidInputError):
         expand_stars(marked, (2,))
+    # Bits follow the int rule of marks and star counts: 1.0 and True equal
+    # 1 but are not bits.
+    unmarked = MarkedPermutation((1, 2, 3))
+    for bits in ((1.0,), (True,), (0.0, 1)):
+        with pytest.raises(InvalidInputError, match="bits must be 0 or 1"):
+            expand_stars(unmarked, bits)
 
 
 def test_marked_permutation_validates_marks():
@@ -473,26 +479,48 @@ def test_round_trips_on_large_composed_members(n):
         assert list_to_marked(marked_to_list(marked)) == marked
 
 
+def _items_from_plan(p, marks):
+    # The items cut from p by the window plan of its tail-sorted form: the
+    # reference that marked_to_list must match.
+    plan = window_plan(sort_factor_tails(p)[0].perm, marks)
+    span_of = {p[a]: (a, b) for a, b in plan.pane_spans}
+    return tuple(
+        reduce_word([v for head in row for v in p[slice(*span_of[head])]])
+        for row in plan.rows
+    )
+
+
 def test_window_plan_and_marked_to_list_agree_on_long_members():
     # One pass feeds both views: the items cut from p by the plan of its
     # tail-sorted form are the items marked_to_list returns.  A random
     # member has few LIT entries, so p is built from a list of members,
-    # which gives it one LIT entry per item at least.
+    # which gives it one LIT entry per item at least.  Every third draw
+    # leaves p unmarked, where marked_to_list skips the pass.
     rng = random.Random(21)
-    for _ in range(30):
+    for i in range(30):
         n = rng.randint(100, 800)
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, 40)))
         sizes = [b - a for a, b in itertools.pairwise((0, *cuts, n))]
         p = list_to_marked([_random_member(s, rng) for s in sizes]).perm
         free = sorted(set(lit_entries(p)) - {n})
-        marks = rng.sample(free, rng.randint(0, len(free)))
-        plan = window_plan(sort_factor_tails(p)[0].perm, marks)
-        span_of = {p[a]: (a, b) for a, b in plan.pane_spans}
-        items = tuple(
-            reduce_word([v for head in row for v in p[slice(*span_of[head])]])
-            for row in plan.rows
-        )
+        marks = [] if i % 3 == 0 else rng.sample(free, rng.randint(0, len(free)))
+        items = _items_from_plan(p, marks)
         assert items == marked_to_list(MarkedPermutation(p, frozenset(marks)))
+
+
+def test_an_unmarked_member_is_its_own_one_item_list():
+    # Both maps skip the window pass without marks or with one item; the
+    # plan, which always runs it, is the reference.  Every member of
+    # length 1..8.
+    count = 0
+    for n in range(1, 9):
+        for q in itertools.permutations(range(1, n + 1)):
+            if not _fast_ok(q):
+                continue
+            assert marked_to_list(MarkedPermutation(q)) == (q,) == _items_from_plan(q, ())
+            assert list_to_marked((q,)) == MarkedPermutation(q)
+            count += 1
+    assert count == 1 + 2 + 6 + 23 + 104 + 531 + 2982 + 18109
 
 
 def test_recogniser_matches_definition_past_exhaustive_range():
