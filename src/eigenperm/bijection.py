@@ -361,17 +361,13 @@ def window_plan(q: Iterable[int], marks: Iterable[int] = ()) -> WindowPlan:
     step appends the new head (or None) to the association list.
     """
     marked = MarkedPermutation(q, marks)
-    if not marked.perm:
+    qq = marked.perm
+    if not qq:
         raise InvalidInputError("an empty permutation has no window plan")
-    if not _avoids_321(marked.perm):
-        raise InvalidInputError(f"a 321-avoiding permutation is required, got {_echo(marked.perm)}")
-    return _window_plan(marked.perm, tuple(sorted(marked.marks)))
-
-
-def _window_plan(qq: Perm, marks: tuple[int, ...]) -> WindowPlan:
-    # window_plan without validation: the pass, assembled.  Each row's
-    # panes, read back, come in position order and so by head value.
-    starts, assoc, panes = _window_pass(qq, marks)
+    if not _avoids_321(qq):
+        raise InvalidInputError(f"a 321-avoiding permutation is required, got {_echo(qq)}")
+    starts, assoc, panes = _window_pass(qq, tuple(sorted(marked.marks)))
+    # Each row's panes, read back, come in position order and so by head value.
     return WindowPlan(
         pane_spans=tuple(sorted(span for row in panes for span in row)),
         initial_starts=tuple(starts),

@@ -572,11 +572,10 @@ def _satisfies(p: Perm, up: UnderlinedPattern) -> bool:
     # positions holding values <= v as bits.  The box is empty exactly when
     # letter m-2's value passes the nearest box value on its side: the
     # largest below the box's top if it is the box's bottom, the smallest
-    # above its bottom if it is the top.  The search becomes quadratic: on
-    # one 3(5)241 member of length 1000 it took 22 s before and 0.2-0.4 s
-    # after (Python 3.11.7, 2 vCPUs).  Each table is n+1 ints of at most
-    # n+1 bits; at n = 10**4 the search peaks under tracemalloc at 13.7 MB
-    # with after alone and 20.7 MB with upto, built only for these patterns.
+    # above its bottom if it is the top.  The search becomes quadratic.
+    # Each table is n+1 ints of at most n+1 bits; at n = 10**4 the search
+    # peaks under tracemalloc at 13.7 MB with after alone and 20.7 MB with
+    # upto, built only for these patterns.
     n = len(p)
     m = len(up.base)
     if not m:

@@ -37,7 +37,7 @@ from eigenperm import (
     window_inverse,
     window_plan,
 )
-from eigenperm.bijection import _avoids_321, _window_plan
+from eigenperm.bijection import _avoids_321, _window_pass
 from eigenperm.perms import _fast_ok, _reduce
 
 # Length-15 class member whose post-maximum part has support {9, 10, 12, 14}.
@@ -285,14 +285,15 @@ def test_every_small_window_plan_is_pinned():
 
 def test_window_plan_ignores_factor_tail_order(ok_perms):
     # The list maps run the window on the class member itself, which is
-    # sound because sorting the factor tails leaves the plan unchanged.
+    # sound because sorting the factor tails leaves the pass unchanged; the
+    # plan is a function of the pass and of the heads, which sorting keeps.
     for n in range(1, 8):
         for p in ok_perms[n]:
             q = sort_factor_tails(p)[0].perm
             free = sorted(set(lit_entries(p)) - {n})
             for r in range(len(free) + 1):
                 for marks in itertools.combinations(free, r):
-                    assert _window_plan(p, marks) == _window_plan(q, marks)
+                    assert _window_pass(p, marks) == _window_pass(q, marks)
 
 
 def test_window_forward_worked_example():

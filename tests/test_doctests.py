@@ -1,28 +1,29 @@
 from __future__ import annotations
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import eigenperm.bijection
-import eigenperm.cli
-import eigenperm.four_patterns
-import eigenperm.perms
-import eigenperm.recurrences
-import eigenperm.series
-import eigenperm.textforms
-import eigenperm.verify
+import eigenperm
 
+# Every module of the package, so that a new one cannot be left out.
 MODULES = [
-    eigenperm.perms,
-    eigenperm.series,
-    eigenperm.recurrences,
-    eigenperm.bijection,
-    eigenperm.four_patterns,
-    eigenperm.textforms,
-    eigenperm.verify,
-    eigenperm.cli,
+    importlib.import_module(f"eigenperm.{info.name}")
+    for info in pkgutil.iter_modules(eigenperm.__path__)
 ]
+
+
+def test_every_module_is_collected():
+    names = {m.__name__ for m in MODULES}
+    assert names >= {
+        f"eigenperm.{name}"
+        for name in (
+            "bijection", "cli", "four_patterns", "perms", "recurrences", "series",
+            "textforms", "verify",
+        )
+    }
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

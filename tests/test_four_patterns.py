@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from eigenperm import (
     a051295_terms,
     all_underlined4,
     apply_pattern_symmetry,
+    apply_symmetry,
     bell_numbers,
     classification_report,
     classify,
@@ -314,3 +317,40 @@ def test_patience_ok():
     for n in range(7):
         for p in itertools.permutations(range(1, n + 1)):
             assert patience_ok(p) == satisfies(p, pat)
+
+
+def test_patience_ok_on_long_members():
+    # 3(1)42 shares an orbit with 31(4)2, so the symmetry word between the
+    # two carries the decreasing partition map's members into the class;
+    # one transposition of each member mostly leaves it.
+    source, target = parse_pattern("31(4)2"), parse_pattern("3(1)42")
+    word = next(
+        w for r in range(4) for w in itertools.product(GENERATORS, repeat=r)
+        if apply_pattern_symmetry(source, w) == target
+    )
+    rng = random.Random(3142)
+    outcomes = set()
+    for n in range(10, 121, 2):
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        blocks = [[v for v in range(1, n + 1) if labels[v - 1] == b] for b in set(labels)]
+        member = apply_symmetry(from_partition_decreasing(SetPartition(blocks)), word)
+        assert patience_ok(member)
+        i, j = rng.sample(range(n), 2)
+        swapped = list(member)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for p in (member, tuple(swapped)):
+            outcomes.add(patience_ok(p))
+            assert patience_ok(p) == satisfies(p, target)
+    assert outcomes == {True, False}
+
+
+def test_patience_ok_is_fast_on_long_inputs():
+    # A decreasing block, then 1, then pairs (top + t, 2 + t): each pair
+    # has many entries between its values, each cut off by an earlier low.
+    b = d = 400
+    top = b + d + 2
+    slow = (*range(top - 1, d + 1, -1), 1, *(v for t in range(d) for v in (top + t, 2 + t)))
+    for p in (slow, tuple(range(20000, 0, -1))):
+        start = time.perf_counter()
+        assert patience_ok(p)
+        assert time.perf_counter() - start < 1.0
