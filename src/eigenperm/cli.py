@@ -21,8 +21,8 @@ import argparse
 import signal
 import sys
 from collections.abc import Sequence
+from importlib import import_module
 
-from . import bijection, four_patterns, recurrences, series, textforms, verify
 from .perms import (
     InvalidInputError,
     ResourceLimitError,
@@ -38,6 +38,13 @@ __all__ = ["main", "run"]
 _FAST_PATTERN = parse_pattern("3(5)241")
 
 
+def _module(name: str):
+    # A command imports the modules it runs, when it runs, by their full
+    # names: reading the package namespace (``from . import series``) would
+    # load every module.
+    return import_module(f"{__package__}.{name}")
+
+
 # name -> (its first n terms, the largest n accepted).  The routes cost
 # O(n^2)-O(n^3) big-integer operations on operands that grow with n; at its
 # ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs), "a" about
@@ -45,13 +52,16 @@ _FAST_PATTERN = parse_pattern("3(5)241")
 # Routes are looked up at call time, so a patched or traced attribute is the
 # one run.
 _SEQUENCES = {
-    "eigen": (lambda n: series.eigensequence(n), 400),
-    "a": (lambda n: recurrences.counts_via_dominance(n)[1:], 400),
-    "catalan": (lambda n: recurrences.catalan_numbers(n)[1:], 5000),
-    "bell": (lambda n: recurrences.bell_numbers(n)[1:], 4000),
-    "a051295": (lambda n: four_patterns.a051295_terms(n)[1:], 1000),
-    "new4": (lambda n: four_patterns.new4_terms(n)[1:], 300),
+    "eigen": (lambda n: _module("series").eigensequence(n), 400),
+    "a": (lambda n: _module("recurrences").counts_via_dominance(n)[1:], 400),
+    "catalan": (lambda n: _module("recurrences").catalan_numbers(n)[1:], 5000),
+    "bell": (lambda n: _module("recurrences").bell_numbers(n)[1:], 4000),
+    "a051295": (lambda n: _module("four_patterns").a051295_terms(n)[1:], 1000),
+    "new4": (lambda n: _module("four_patterns").new4_terms(n)[1:], 300),
 }
+
+# verify.SUITES, in order, without importing verify to build the parser.
+_SUITES = ("recurrences", "bijection", "fourpatterns", "all")
 
 
 # Integer flags, read by the text forms' rule (ASCII digits, here after an
@@ -111,6 +121,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify4(args: argparse.Namespace) -> int:
+    four_patterns = _module("four_patterns")
     classes = four_patterns.classify(max_n=args.max_n)
     if args.json:
         import json  # here, as only the --json forms need it
@@ -132,6 +143,7 @@ def _cmd_classify4(args: argparse.Namespace) -> int:
 
 
 def _cmd_biject(args: argparse.Namespace) -> int:
+    bijection, textforms = _module("bijection"), _module("textforms")
     if args.direction == "forward":
         marked = textforms.parse_marked(args.input)
         print(textforms.format_perm_list(bijection.marked_to_list(marked)))
@@ -142,6 +154,7 @@ def _cmd_biject(args: argparse.Namespace) -> int:
 
 
 def _cmd_eigen(args: argparse.Namespace) -> int:
+    bijection, textforms = _module("bijection"), _module("textforms")
     if args.direction == "decompose":
         p = textforms.parse_perm(args.input)
         rho, items = bijection.eigen_decompose(p)
@@ -157,7 +170,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_suite(args.suite, args.max_n)
+    results = _module("verify").run_suite(args.suite, args.max_n)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.detail})")
     failures = [r for r in results if not r.ok]
@@ -213,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(func=_cmd_eigen)
 
     p_ver = sub.add_parser("verify", help="run a consistency suite")
-    p_ver.add_argument("--suite", choices=verify.SUITES, required=True)
+    p_ver.add_argument("--suite", choices=_SUITES, required=True)
     p_ver.add_argument("--max-n", default="6")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -225,7 +238,7 @@ def run(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     try:
         for dest in _INT_FLAGS.keys() & vars(args).keys():
-            setattr(args, dest, textforms._int_token(getattr(args, dest), name=_INT_FLAGS[dest]))
+            setattr(args, dest, _module("textforms")._int_token(getattr(args, dest), name=_INT_FLAGS[dest]))
         return args.func(args)
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -7,9 +7,8 @@ with the entries; lists of permutations are joined with " / ".
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .bijection import MarkedPermutation, StarredPermutation
 from .perms import InvalidInputError, Perm, _as_tuple, _echo, _of_kind, as_perm
 
 __all__ = [
@@ -22,6 +21,9 @@ __all__ = [
     "parse_perm_list",
     "parse_starred",
 ]
+
+if TYPE_CHECKING:  # the marked and starred forms import bijection when they run
+    from .bijection import MarkedPermutation, StarredPermutation
 
 
 def _int_token(token: str, text: str | None = None, name: str = "entry", mark: str = "") -> int:
@@ -69,6 +71,8 @@ def format_perm(p: Iterable[int]) -> str:
 
 def parse_marked(text: str) -> MarkedPermutation:
     """Parse "25 26^ 13": caret-suffixed entries are the marks."""
+    from .bijection import MarkedPermutation
+
     entries: list[int] = []
     marks: list[int] = []
     for token in _of_kind(text, str, "the text").split():
@@ -79,6 +83,8 @@ def parse_marked(text: str) -> MarkedPermutation:
 
 
 def format_marked(mp: MarkedPermutation) -> str:
+    from .bijection import MarkedPermutation
+
     _of_kind(mp, MarkedPermutation, "the marked permutation")
     return " ".join(f"{v}^" if v in mp.marks else str(v) for v in mp.perm)
 
@@ -90,6 +96,8 @@ def parse_starred(text: str) -> StarredPermutation:
     need the maximum to come last; :class:`StarredPermutation` checks that
     every other run sits on an LIT entry.
     """
+    from .bijection import StarredPermutation
+
     entries: list[int] = []
     runs = [0]  # runs[i]: the stars before entry i; runs[-1]: the trailing stars
     for token in _of_kind(text, str, "the text").split():
@@ -108,6 +116,8 @@ def parse_starred(text: str) -> StarredPermutation:
 
 
 def format_starred(sp: StarredPermutation) -> str:
+    from .bijection import StarredPermutation
+
     tokens: list[str] = []
     top = len(_of_kind(sp, StarredPermutation, "the starred permutation").base)
     for cnt, v in zip(sp.before, sp.base):

@@ -9,7 +9,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from . import bijection, four_patterns, perms, recurrences, series
+# By full name: ``from . import`` reads the package namespace, which loads
+# every module on first use (see ``eigenperm/__init__``).
+import eigenperm.bijection as bijection
+import eigenperm.four_patterns as four_patterns
+import eigenperm.perms as perms
+import eigenperm.recurrences as recurrences
+import eigenperm.series as series
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 

@@ -2,8 +2,10 @@
 
 ``perfbench/worker.py`` wraps each function it lists in ``TRACED`` by
 module attribute, and its census observer reads ``n`` from the second
-positional argument of ``perms.census``.  A rename in the package would
-otherwise surface only when the benchmark traces.
+positional argument of ``perms.census``.  The tracer finds each module in
+``sys.modules``, after the benchmark's own ``from eigenperm import ...``.
+A rename in the package would otherwise surface only when the benchmark
+traces.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +41,13 @@ def test_census_takes_n_second(worker):
     params = list(inspect.signature(perms.census).parameters.values())
     assert params[1].name == "n"
     assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_a_namespace_import_loads_every_traced_module(worker):
+    # The worker imports eigenperm and its CLI, then its workloads read the
+    # namespace; the tracer then looks each module up in sys.modules.
+    code = "import sys, eigenperm, eigenperm.cli; from eigenperm import bijection; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(perms.__file__)))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert {f"eigenperm.{name.split('.')[0]}" for name in worker.TRACED} <= loaded

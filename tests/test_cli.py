@@ -348,6 +348,16 @@ def test_verify_refuses_max_n_past_its_ceiling(capsys, monkeypatch):
         assert err.startswith("limit exceeded: ")
 
 
+def test_verify_offers_the_suites_in_order(capsys):
+    # The parser names the suites without importing verify; its refusal
+    # lists them as verify.SUITES does.
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"invalid choice: 'nope' (choose from {', '.join(map(repr, verify.SUITES))})\n")
+
+
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["seq", "eigen", "--n", "3", "--frobnicate"])

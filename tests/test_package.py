@@ -10,26 +10,38 @@ import pytest
 import eigenperm
 from eigenperm import bijection, four_patterns, perms, recurrences, series, textforms, verify
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(eigenperm.__file__)))
+# Code that prints the package's modules in sys.modules, on one line.
+PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'eigenperm'))"
+EXPORTED = set().union(*(m.__all__ for m in (bijection, four_patterns, perms, recurrences, series, textforms, verify)))
+
+
+def shown_api(names) -> set[str]:
+    """The public names among ``names``, less the package's submodules."""
+    submodules = {info.name for info in pkgutil.iter_modules(eigenperm.__path__)}
+    return {name for name in names if not name.startswith("_")} - submodules
+
 
 def test_package_exports_exactly_the_module_apis():
     # The package re-exports each module's __all__; besides those it shows
     # only its submodules.
-    modules = (bijection, four_patterns, perms, recurrences, series, textforms, verify)
-    exported = set().union(*(m.__all__ for m in modules))
-    submodules = {info.name for info in pkgutil.iter_modules(eigenperm.__path__)}
-    public = {name for name in dir(eigenperm) if not name.startswith("_")}
-    assert public - submodules == exported
+    assert shown_api(dir(eigenperm)) == EXPORTED
+
+
+def fresh(code: str, *argv: str) -> list[str]:
+    """The lines ``code`` prints in a new interpreter that imports from src."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.splitlines()
 
 
 # What ``import eigenperm, eigenperm.cli`` adds to sys.modules on CPython
-# 3.11: the package's own modules and what their module-level imports need.
-# A module that only some calls use, such as the census lanes or the json
-# of the --json forms, is imported inside those calls.
-IMPORTED_311 = {
-    "__future__", "argparse", "eigenperm", "eigenperm.bijection", "eigenperm.cli",
-    "eigenperm.four_patterns", "eigenperm.perms", "eigenperm.recurrences", "eigenperm.series",
-    "eigenperm.textforms", "eigenperm.verify", "gettext", "signal",
-}
+# 3.11: the package, its CLI, perms and what their module-level imports
+# need.  The other modules load when a command, or a read of the package
+# namespace, needs them; a module that only some calls use, such as the
+# census lanes or the json of the --json forms, is imported inside those
+# calls.
+IMPORTED_311 = {"__future__", "argparse", "eigenperm", "eigenperm.cli", "eigenperm.perms", "gettext", "signal"}
 
 
 def test_import_loads_no_module_beyond_its_own_needs():
@@ -37,15 +49,84 @@ def test_import_loads_no_module_beyond_its_own_needs():
         "import sys; before = set(sys.modules); import eigenperm, eigenperm.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(eigenperm.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    loaded = set(proc.stdout.split())
+    loaded = set(fresh(code)[-1].split())
     assert not loaded & {"socket", "_socket", "selectors", "pickle", "multiprocessing"}
     # The value classes are plain classes: nothing compiles their methods at import.
     assert not loaded & {"dataclasses", "inspect"}
     if sys.version_info[:2] == (3, 11):
         assert loaded <= IMPORTED_311, sorted(loaded - IMPORTED_311)
+
+
+# The modules each command runs, beyond the package, its CLI and perms.
+# Every command with --n or --max-n reads it with textforms' integer rule;
+# four_patterns imports recurrences and series; census counts in _lanes.
+FOUR_PATTERNS = {"four_patterns", "recurrences", "series"}
+EVERY_MODULE = {"_lanes", "bijection", "cli", "four_patterns", "perms", "recurrences", "series", "textforms", "verify"}
+COMMAND_MODULES = [
+    (("seq", "eigen", "--n", "5"), {"series", "textforms"}),
+    (("seq", "a", "--n", "5"), {"recurrences", "textforms"}),
+    (("seq", "catalan", "--n", "5"), {"recurrences", "textforms"}),
+    (("seq", "bell", "--n", "5"), {"recurrences", "textforms"}),
+    (("seq", "a051295", "--n", "5"), FOUR_PATTERNS | {"textforms"}),
+    (("seq", "new4", "--n", "5"), FOUR_PATTERNS | {"textforms"}),
+    (("count", "--pattern", "3(5)241", "--n", "5"), {"_lanes", "textforms"}),
+    (("count", "--pattern", "3(5)241", "--n", "5", "--fast"), {"recurrences", "textforms"}),
+    (("classify4", "--max-n", "5"), FOUR_PATTERNS | {"_lanes", "textforms"}),
+    (("eigen", "decompose", "--input", "3 1 2"), {"bijection", "textforms"}),
+    (("eigen", "compose", "--input", "1 2 ;  / 1 / "), {"bijection", "textforms"}),
+    (("biject", "forward", "--input", "2 3^ 1 4"), {"bijection", "textforms"}),
+    (("biject", "inverse", "--input", "1 / 2 1"), {"bijection", "textforms"}),
+    (("verify", "--suite", "all", "--max-n", "5"), EVERY_MODULE),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # sys.modules itself: -X importtime does not see import_module's imports.
+    code = (
+        "import contextlib, io, sys; import eigenperm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()): status = eigenperm.cli.run(sys.argv[1:])\n"
+        "print(status)\n" + PRINT_LOADED
+    )
+    status, loaded = fresh(code, *argv)
+    assert status == "0"
+    assert set(loaded.split()) == {"eigenperm"} | {f"eigenperm.{m}" for m in modules | {"cli", "perms"}}
+
+
+# The package namespace loads on first use, all at once.
+
+
+def test_import_loads_no_other_module_of_the_package():
+    assert fresh("import sys, eigenperm\n" + PRINT_LOADED)[-1].split() == ["eigenperm"]
+
+
+def test_star_import_binds_exactly_the_module_apis():
+    code = "before = set(globals())\nfrom eigenperm import *\nprint(*set(globals()) - before - {'before'})"
+    assert set(fresh(code)[-1].split()) == EXPORTED
+
+
+def test_dir_first_shows_the_whole_namespace():
+    assert shown_api(fresh("import eigenperm; print(*dir(eigenperm))")[-1].split()) == EXPORTED
+
+
+def test_a_dunder_probe_loads_nothing():
+    code = (
+        "import sys, eigenperm\n"
+        "print(hasattr(eigenperm, '__wrapped__'), hasattr(eigenperm, '__test__'))\n" + PRINT_LOADED
+    )
+    probes, loaded = fresh(code)
+    assert probes.split() == ["False", "False"]
+    assert loaded.split() == ["eigenperm"]
+
+
+def test_a_name_read_loads_every_module_and_an_unknown_name_raises():
+    code = (
+        "import sys, eigenperm\n"
+        "print(eigenperm.parse_perm('2 1'), hasattr(eigenperm, 'no_such_name'))\n" + PRINT_LOADED
+    )
+    read, loaded = fresh(code)
+    assert read == "(2, 1) False"
+    assert set(loaded.split()) == {"eigenperm"} | {f"eigenperm.{m}" for m in eigenperm._MODULES}
 
 
 # Each frozen value class with positional arguments (some not yet in
