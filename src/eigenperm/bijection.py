@@ -599,6 +599,11 @@ def eigen_decompose(p: Iterable[int]) -> tuple[Perm, tuple[Perm, ...]]:
     q = _checked_member(p)
     if not q:
         raise InvalidInputError("the empty permutation does not decompose")
+    return _decompose(q)
+
+
+def _decompose(q: Perm) -> tuple[Perm, tuple[Perm, ...]]:
+    # q: a nonempty class member.
     n = len(q)
     if q[0] == n:
         return q[1:], ((),) * n
@@ -622,9 +627,14 @@ def eigen_compose(rho: Iterable[int], items: Iterable[Iterable[int]]) -> Perm:
         raise InvalidInputError("the item list must contain at least one slot")
     if len(r) != k - 1:
         raise InvalidInputError(f"rho must have length {k - 1}, got {len(r)}")
+    return _compose(r, its)
+
+
+def _compose(r: Perm, its: tuple[Perm, ...]) -> Perm:
+    # r: a class member; its: len(r) + 1 class members, the empty slots ().
     nonempty = tuple(filter(None, its))
     if not nonempty:
-        return (k,) + r
+        return (len(its),) + r
     perm, marks = _from_list(nonempty)
     before, _ = _expand_stars(perm, marks, tuple(map(bool, its)))
     return _star_decode(r, perm, before)

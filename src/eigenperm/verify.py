@@ -2,12 +2,19 @@
 
 Each check cross-validates two independent routes to the same quantity at
 a configurable size and reports a failed check as a result, not an error.
+
+The bijection checks run the private cores of :mod:`eigenperm.bijection` on
+the class members the suite lists, which need no second validation, and
+check that every output of a forward map is a list of class members of the
+right count and sizes before the inverse map reads it.  So a stage that
+emits a non-member, or a map that raises on a member the suite gives it,
+fails its check and names that member.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 # By full name: ``from . import`` reads the package namespace, which loads
 # every module on first use (see ``eigenperm/__init__``).
@@ -67,20 +74,61 @@ def verify_recurrences(max_n: int) -> list[CheckResult]:
     return out
 
 
+def _broken(round_trip: Callable[..., bool], *case: object) -> str | None:
+    """None when ``round_trip(*case)`` holds; else "", or ": " and what it raised.
+
+    The checks run the maps on members the suite lists, so an error they
+    raise is a fault of a stage, and fails the check like a wrong result.
+    """
+    try:
+        return None if round_trip(*case) else ""
+    except Exception as exc:
+        return f": {exc}"
+
+
+def _members(qs: tuple) -> bool:
+    # An empty slot, most slots of a short member's list, is a member.
+    return all(perms.is_standard(q) and perms._fast_ok(q) for q in qs if q)
+
+
+def _eigen_round_trip(p: perms.Perm) -> bool:
+    # The cores trust their input, so each output of the forward one is
+    # checked before the inverse one reads it.
+    rho, its = bijection._decompose(p)
+    return (
+        _members((rho, *its))
+        and len(its) == len(rho) + 1
+        and len(rho) + sum(map(len, its)) == len(p) - 1
+        and bijection._compose(rho, its) == p
+    )
+
+
 def _eigen_failures(bound: int) -> Iterator[str]:
     for p in _ok_perms(bound):
-        if bijection.eigen_compose(*bijection.eigen_decompose(p)) != p:
-            yield f"failed at {p}"
+        why = _broken(_eigen_round_trip, p)
+        if why is not None:
+            yield f"failed at {p}{why}"
+
+
+def _marked_round_trip(p: perms.Perm, marks: tuple[int, ...]) -> bool:
+    its = bijection._to_list(p, marks)
+    return (
+        _members(its)
+        and all(its)
+        and len(its) == len(marks) + 1
+        and sum(map(len, its)) == len(p)
+        and bijection._from_list(its) == (p, marks)
+    )
 
 
 def _marked_failures(bound: int) -> Iterator[str]:
     for p in _ok_perms(bound):
-        lit = sorted(set(perms.lit_entries(p)) - {len(p)})
+        lit = perms._lit(p)[:-1]  # the marks allowed: non-maximal LIT entries, ascending
         for r in range(len(lit) + 1):
             for marks in itertools.combinations(lit, r):
-                mp = bijection.MarkedPermutation(p, frozenset(marks))
-                if bijection.list_to_marked(bijection.marked_to_list(mp)) != mp:
-                    yield f"failed at {p} marks {marks}"
+                why = _broken(_marked_round_trip, p, marks)
+                if why is not None:
+                    yield f"failed at {p} marks {marks}{why}"
 
 
 def verify_bijection(max_n: int) -> list[CheckResult]:
@@ -91,6 +139,10 @@ def verify_bijection(max_n: int) -> list[CheckResult]:
     ]
 
 
+def _partition_round_trip(p: perms.Perm) -> bool:
+    return four_patterns.from_partition_increasing(four_patterns.to_partition_increasing(p)) == p
+
+
 def _partition_failures(bound: int) -> Iterator[str]:
     bell = recurrences.bell_numbers(bound)
     pattern = perms.parse_pattern("32(4)1")
@@ -99,8 +151,9 @@ def _partition_failures(bound: int) -> Iterator[str]:
         if len(members) != bell[n]:
             yield f"{len(members)} members at n = {n}, not {bell[n]}"
         for p in members:
-            if four_patterns.from_partition_increasing(four_patterns.to_partition_increasing(p)) != p:
-                yield f"failed at {p}"
+            why = _broken(_partition_round_trip, p)
+            if why is not None:
+                yield f"failed at {p}{why}"
 
 
 def verify_fourpatterns(max_n: int) -> list[CheckResult]:

@@ -13,6 +13,8 @@ import pytest
 
 import eigenperm
 from eigenperm import (
+    InvalidInputError,
+    bijection,
     eigen_compose,
     eigen_decompose,
     fast_35241ok,
@@ -320,6 +322,60 @@ def test_verify_suite_passes(capsys):
     assert (code, err) == (0, "")
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+VERIFY_ALL_6 = """\
+PASS a_n equals shifted eigensequence (n <= 6)
+PASS dominance sum equals recurrence tables (n <= 6)
+PASS first-entry rows sum to a_n (n <= 7)
+PASS census equals eigensequence (n <= 6)
+PASS self-composition shifts left (order 8)
+PASS eigen decompose/compose round trip (n <= 6)
+PASS marked list round trip (n <= 6)
+PASS orbit structure 64 + (8,8,8,4,4) (n <= 6)
+PASS nontrivial labels (a051295, a051295, bell, bell, new4)
+PASS partition bijection round trip (n <= 6)
+"""
+
+
+def test_verify_prints_its_checks_exactly(capsys):
+    assert invoke(capsys, "verify", "--suite", "all", "--max-n", "6") == (0, VERIFY_ALL_6, "")
+    assert invoke(capsys, "verify", "--suite", "bijection", "--max-n", "8") == (
+        0,
+        "PASS eigen decompose/compose round trip (n <= 8)\nPASS marked list round trip (n <= 7)\n",
+        "",
+    )
+
+
+def test_verify_fails_a_stage_that_emits_a_non_member(capsys, monkeypatch):
+    # (3, 2, 4, 1) is not in the class.  The stage's output is checked before
+    # the inverse reads it, so the checks fail rather than refuse input.
+    to_list = bijection._to_list
+    monkeypatch.setattr(
+        bijection,
+        "_to_list",
+        lambda p, marks: tuple((3, 2, 4, 1) if len(it) == 4 else it for it in to_list(p, marks)),
+    )
+    code, out, err = invoke(capsys, "verify", "--suite", "bijection", "--max-n", "5")
+    assert (code, err) == (1, "2 check(s) failed\n")
+    assert out == (
+        "FAIL eigen decompose/compose round trip (failed at (1, 2, 3, 4, 5))\n"
+        "FAIL marked list round trip (failed at (1, 2, 3, 4) marks ())\n"
+    )
+
+
+def test_verify_fails_a_partition_map_that_refuses_a_member(capsys, monkeypatch):
+    to_partition = four_patterns.to_partition_increasing
+
+    def refuse(p):
+        if p == (2, 1, 3):
+            raise InvalidInputError("refused")
+        return to_partition(p)
+
+    monkeypatch.setattr(four_patterns, "to_partition_increasing", refuse)
+    code, out, err = invoke(capsys, "verify", "--suite", "fourpatterns", "--max-n", "5")
+    assert (code, err) == (1, "1 check(s) failed\n")
+    assert out.splitlines()[-1] == "FAIL partition bijection round trip (failed at (2, 1, 3): refused)"
 
 
 def test_verify_rejects_negative_max_n(capsys):

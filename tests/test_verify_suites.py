@@ -14,10 +14,26 @@ def test_each_suite_passes_at_small_size():
 
 
 def test_failed_check_reports_the_first_counterexample(monkeypatch):
-    monkeypatch.setattr(bijection, "list_to_marked", lambda items: None)
+    monkeypatch.setattr(bijection, "_from_list", lambda items: None)
     marked = {r.name: r for r in run_suite("bijection", 4)}["marked list round trip"]
     assert not marked.ok
     assert marked.detail == "failed at (1,) marks ()"
+
+
+def test_failed_eigen_check_reports_the_first_counterexample(monkeypatch):
+    monkeypatch.setattr(bijection, "_compose", lambda rho, items: None)
+    eigen = {r.name: r for r in run_suite("bijection", 4)}["eigen decompose/compose round trip"]
+    assert not eigen.ok
+    assert eigen.detail == "failed at (1,)"
+
+
+def test_a_map_that_raises_on_a_member_fails_its_check(monkeypatch):
+    def boom(q):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bijection, "_decompose", boom)
+    eigen = {r.name: r for r in run_suite("bijection", 4)}["eigen decompose/compose round trip"]
+    assert (eigen.ok, eigen.detail) == (False, "failed at (1,): boom")
 
 
 def test_all_suite_is_the_union():
