@@ -48,7 +48,9 @@ def _module(name: str):
 # name -> (its first n terms, the largest n accepted).  The routes cost
 # O(n^2)-O(n^3) big-integer operations on operands that grow with n; at its
 # ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs), "a" about
-# 3-6 s in one process and "eigen" about 6-7 s.
+# 3.5-4.5 s and "eigen" about 6-7 s.  From n = 160 on, with two CPUs, "a"
+# fills its sum in this process and a helper interpreter at once (see
+# recurrences.counts_via_dominance), with the same terms.
 # Routes are looked up at call time, so a patched or traced attribute is the
 # one run.
 _SEQUENCES = {

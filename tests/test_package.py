@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import marshal
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 
@@ -91,6 +93,55 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     status, loaded = fresh(code, *argv)
     assert status == "0"
     assert set(loaded.split()) == {"eigenperm"} | {f"eigenperm.{m}" for m in modules | {"cli", "perms"}}
+
+
+# counts_via_dominance's helper interpreter.
+
+
+def test_importing_recurrences_starts_no_process():
+    code = (
+        "import os, sys; import eigenperm.recurrences\n"
+        "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    print('no child')\n"
+        "print('subprocess' in sys.modules, 'socket' in sys.modules)"
+    )
+    assert fresh(code) == ["no child", "False False"]
+
+
+def test_the_helper_loads_only_perms_and_recurrences():
+    # The helper's own code, on the rows of a left block [1, 2], with a line
+    # that names what it loaded; it runs as counts_via_dominance starts it.
+    rows = []
+    recurrences._dominance_block(1, 2, send=lambda *row: rows.append(marshal.dumps(row)))
+    code = recurrences._HELPER + "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'eigenperm'), file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, SRC, "5", "3"], input=b"".join(rows), capture_output=True, check=True
+    )
+    assert marshal.loads(proc.stdout) == list(recurrences.recurrence_tables(5).a[3:])
+    assert proc.stderr.decode().split() == ["eigenperm", "eigenperm.perms", "eigenperm.recurrences"]
+
+
+def test_a_script_without_a_main_guard_runs_once(tmp_path):
+    # The helper never imports the caller's __main__, as a spawned
+    # multiprocessing worker would: the script's top level runs once.  Run
+    # with -B, from a copy of the package, it leaves no bytecode there.
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(eigenperm.__file__), src / "eigenperm", ignore=shutil.ignore_patterns("__pycache__"))
+    script = tmp_path / "script.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "print('marker', flush=True)\n"
+        "from eigenperm import recurrences\n"
+        "recurrences._cpu_count = lambda: 2\n"
+        "start, started = recurrences._start_helper, []\n"
+        "recurrences._start_helper = lambda *args: started.append(start(*args)) or started[-1]\n"
+        "n = recurrences.SPLIT_MIN\n"
+        "print(recurrences.counts_via_dominance(n) == list(recurrences.recurrence_tables(n).a), len(started))\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", str(script)], capture_output=True, text=True, check=True)
+    assert proc.stdout.count("marker") == 1
+    assert proc.stdout.splitlines()[-1] == "True 1"
+    assert not list(src.rglob("__pycache__"))
 
 
 # The package namespace loads on first use, all at once.

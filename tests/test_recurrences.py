@@ -4,6 +4,8 @@ import gc
 import hashlib
 import itertools
 import math
+import os
+import signal
 import time
 
 import pytest
@@ -164,6 +166,129 @@ def test_dominance_count_against_enumeration():
 def test_counts_via_dominance_matches_tables():
     assert counts_via_dominance(10) == eigensequence(11)[:11]
     assert counts_via_dominance(17) == eigensequence(18)
+
+
+def test_two_column_blocks_give_the_tables_at_every_split():
+    # The left block's rows, passed on in process, complete the right block
+    # for every first column m of the right block, the empty blocks at
+    # m = 1 and m = n + 1 included; no process starts.
+    for n in range(41):
+        expected = list(recurrence_tables(n).a) if n else [1]
+        for m in range(1, n + 2):
+            rows = []
+            left = recurrences._dominance_block(1, m - 1, send=lambda *row: rows.append(row))
+            assert left == expected[:m] and len(rows) == m - 1
+            feed = iter(rows)
+            assert recurrences._dominance_block(m, n, receive=lambda: next(feed)) == expected, (n, m)
+            assert next(feed, None) is None
+
+
+# The helper's lifecycle.  Each case gets the terms or its documented
+# error, within a wall bound, and leaves every helper it started reaped.
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The helpers the split route starts, with two CPUs reported."""
+    started = []
+    start = recurrences._start_helper
+
+    def record(*args):
+        started.append(start(*args))
+        return started[-1]
+
+    monkeypatch.setattr(recurrences, "_start_helper", record)
+    monkeypatch.setattr(recurrences, "_cpu_count", lambda: 2)
+    return started
+
+
+def assert_reaped(procs):
+    for proc in procs:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+
+
+def refuse(*args):
+    raise AssertionError("a helper was started")
+
+
+def one_process_counts(monkeypatch, n):
+    with monkeypatch.context() as m:
+        m.setattr(recurrences, "_cpu_count", lambda: 1)
+        m.setattr(recurrences, "_start_helper", refuse)
+        return counts_via_dominance(n)
+
+
+def test_the_helper_route_gives_the_one_process_terms(monkeypatch, helpers):
+    n = recurrences.SPLIT_MIN
+    expected = one_process_counts(monkeypatch, n)
+    assert expected == list(recurrence_tables(n).a)
+    start = time.perf_counter()
+    assert counts_via_dominance(n) == expected
+    assert time.perf_counter() - start < 30
+    assert len(helpers) == 1
+    assert_reaped(helpers)
+    # One below the threshold no helper starts.
+    assert counts_via_dominance(n - 1) == expected[:-1]
+    assert len(helpers) == 1
+
+
+def test_a_helper_that_cannot_start_leaves_the_work_here(monkeypatch):
+    def fail(*args):
+        raise OSError("no interpreter")
+
+    monkeypatch.setattr(recurrences, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(recurrences, "_start_helper", fail)
+    n = recurrences.SPLIT_MIN
+    start = time.perf_counter()
+    assert counts_via_dominance(n) == list(recurrence_tables(n).a)
+    assert time.perf_counter() - start < 30
+    # Without an interpreter to start, none is tried.
+    monkeypatch.setattr(recurrences, "_start_helper", refuse)
+    monkeypatch.setattr(recurrences.sys, "executable", "")
+    assert counts_via_dominance(n)[-1] == recurrence_tables(n).a[-1]
+
+
+def test_the_cpu_probe_reads_the_affinity_mask_then_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert recurrences._cpu_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert recurrences._cpu_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert recurrences._cpu_count() == 1
+
+
+@pytest.mark.parametrize("code", ["pass", "raise RuntimeError('helper failed')"], ids=["exits", "raises"])
+def test_a_helper_that_exits_at_once_leaves_the_work_here(monkeypatch, helpers, capfd, code):
+    monkeypatch.setattr(recurrences, "_HELPER", code)
+    n = recurrences.SPLIT_MIN
+    start = time.perf_counter()
+    assert counts_via_dominance(n) == list(recurrence_tables(n).a)
+    assert time.perf_counter() - start < 30
+    assert len(helpers) == 1
+    assert_reaped(helpers)
+    # The helper's traceback never reaches the caller's streams.
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_interrupt_mid_run_reaps_the_helper(helpers):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            counts_via_dominance(400)
+        assert time.perf_counter() - start < 10
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(helpers) == 1
+    assert_reaped(helpers)
 
 
 def test_catalan_via_compositions():
