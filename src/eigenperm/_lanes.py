@@ -11,9 +11,16 @@ mask stands for it.  Every comparison between two positions is one mask:
   rank among the free values;
 - two fixed entries compare in all lanes or in none.
 
-``perms.census`` loads this module on its first call, so that the
-commands that never count do not load it.  ``count``, ``classify4`` and
-the ``recurrences`` and ``fourpatterns`` suites of ``verify`` count.
+A batch of patterns is counted in one pass over the blocks.  The walk
+over the position sets of a base reads only the base, so the patterns
+that share a base (the 96 marked 4-patterns have the six 3-letter
+permutations as bases, 16 patterns each) share one walk per block, and
+at each full position set every pattern tests its own box.
+
+``perms.census`` loads this module on its first call, and
+``four_patterns.classify`` on its own, so that the commands that never
+count do not load it.  ``count``, ``classify4`` and the ``recurrences``
+and ``fourpatterns`` suites of ``verify`` count.
 """
 
 from __future__ import annotations
@@ -23,13 +30,30 @@ import math
 from functools import lru_cache
 
 
-def census(n: int, plan: tuple) -> int:
-    # The permutations of [n] in which every occurrence of the base extends.
-    # plan is the pattern's UnderlinedPattern._plan; the caller checks n.
+def census(n: int, plans: list[tuple]) -> list[int]:
+    """The number of permutations of [n] satisfying each plan's pattern.
+
+    plans holds ``UnderlinedPattern._plan``s; the caller checks n.  A
+    permutation satisfies a pattern when every occurrence of its base
+    extends.  A batch gives the counts that one call per plan gives:
+
+    >>> from eigenperm.perms import parse_pattern
+    >>> a, b = parse_pattern("3(5)241")._plan, parse_pattern("32(4)1")._plan
+    >>> census(6, [a, b]) == census(6, [a]) + census(6, [b])
+    True
+    >>> census(6, [a, b])
+    [531, 203]
+    """
     k = min(n, 7)
     every, below, less = _lane_tables(k)
-    lanes = math.factorial(k)
-    count = 0
+    # The plans by base, each with its box: plan[0], the base's bounds, is
+    # all that the walk reads.
+    groups: dict[tuple, tuple[list[int], list[tuple]]] = {}
+    for i, plan in enumerate(plans):
+        members, boxes = groups.setdefault(plan[0], ([], []))
+        members.append(i)
+        boxes.append(plan[1:5])
+    failing = [0] * len(plans)
     for prefix in itertools.permutations(range(1, n + 1), n - k):
         ranks = [v - 1 - sum(w < v for w in prefix) for v in prefix]  # free values below v
         # lt[i][j]: the lanes where the entry at position i is below the one at j.
@@ -38,8 +62,11 @@ def census(n: int, plan: tuple) -> int:
             for v, r in zip(prefix, ranks)
         ]
         lt += [[col[r] for r in ranks] + list(row) for col, row in zip(below, less)]
-        count += lanes - _failing_lanes(lt, every, plan).bit_count()
-    return count
+        for bounds, (members, boxes) in groups.items():
+            for i, mask in zip(members, _failing_lanes(lt, every, bounds, boxes)):
+                failing[i] += mask.bit_count()
+    total = math.factorial(n)
+    return [total - f for f in failing]
 
 
 @lru_cache(maxsize=None)
@@ -61,16 +88,16 @@ def _lane_tables(k: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[
     return every, tuple(below), less
 
 
-def _failing_lanes(lt: list[list[int]], every: int, plan: tuple) -> int:
-    # The lanes of one block (lt, every as in census) where some occurrence
-    # of the base does not extend.  Walks the position sets of the base in
-    # lex order; masks[t] holds the lanes where the first t chosen positions
-    # match the base, and a branch ends as soon as no lane is left.  The
-    # floor and ceiling, indices m and m+1, bound no value.
+def _failing_lanes(lt: list[list[int]], every: int, bounds: tuple, boxes: list[tuple]) -> list[int]:
+    # For each box (left, right, lo, hi) of a pattern on this base, the
+    # lanes of one block (lt, every as in census) where some occurrence of
+    # the base does not extend.  Walks the position sets of the base in
+    # lex order; masks[t] holds the lanes where the first t chosen
+    # positions match the base, and a branch ends as soon as no lane is
+    # left.  The floor and ceiling, indices m and m+1, bound no value.
     n = len(lt)
-    bounds, left, right, lo, hi = plan[:5]
     m = len(bounds)
-    bad = 0
+    bad = [0] * len(boxes)
     masks = [every] * (m + 1)
     occ = [0] * m + [-1, n]
     t = q = 0
@@ -78,15 +105,16 @@ def _failing_lanes(lt: list[list[int]], every: int, plan: tuple) -> int:
         if t == m:
             # Clear the lanes where some gap position extends the occurrence;
             # the empty base has one empty position set, and its gap is all.
-            mask = masks[m]
-            for x in range(occ[left] + 1, occ[right]):
-                extends = lt[occ[lo]][x] if lo < m else every
-                if hi < m:
-                    extends &= lt[x][occ[hi]]
-                mask &= ~extends
-                if not mask:
-                    break
-            bad |= mask
+            for j, (left, right, lo, hi) in enumerate(boxes):
+                mask = masks[m]
+                for x in range(occ[left] + 1, occ[right]):
+                    extends = lt[occ[lo]][x] if lo < m else every
+                    if hi < m:
+                        extends &= lt[x][occ[hi]]
+                    mask &= ~extends
+                    if not mask:
+                        break
+                bad[j] |= mask
             q = n + 1  # the last level holds this one position set
         if q > n - m + t:
             if t == 0:

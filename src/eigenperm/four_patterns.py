@@ -37,7 +37,6 @@ from .perms import (
     _setfield,
     _within_limit,
     apply_pattern_symmetry,
-    census,
     is_standard,
     parse_pattern,
 )
@@ -108,9 +107,11 @@ def pattern_orbit(up: UnderlinedPattern) -> frozenset[UnderlinedPattern]:
 def classify(max_n: int = 7) -> list[PatternClass]:
     """Partition the 96 patterns into orbits and label each by its counts.
 
-    Counts for n = 0..max_n, from ``census``, are matched against the
-    four reference sequences; an orbit is trivial when it is labelled
-    Catalan, as every 3-letter base has C_n avoiders (Simion-Schmidt).
+    Counts for n = 0..max_n, from the lane kernel behind ``census`` with
+    all 96 patterns in one batch per n (one walk per 3-letter base, each
+    pattern testing its own box), are matched against the four reference
+    sequences; an orbit is trivial when it is labelled Catalan, as every
+    3-letter base has C_n avoiders (Simion-Schmidt).
     Disagreements within an orbit, or an unmatched orbit, raise
     ClassificationError.  The references agree through n = 4 (bell,
     a051295 and new4 all read 1, 1, 2, 5, 15), so ``max_n`` below 5
@@ -126,7 +127,10 @@ def classify(max_n: int = 7) -> list[PatternClass]:
         "a051295": tuple(a051295_terms(max_n)),
         "new4": tuple(new4_terms(max_n)),
     }
-    counts = {up: tuple(census(up, n) for n in range(max_n + 1)) for up in patterns}
+    from ._lanes import census as lane_census  # here, so that commands that never count skip it
+
+    plans = [up._plan for up in patterns]
+    counts = dict(zip(patterns, zip(*(lane_census(n, plans) for n in range(max_n + 1)))))
     classes = []
     assigned: set[UnderlinedPattern] = set()
     for up in patterns:

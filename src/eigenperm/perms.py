@@ -663,7 +663,9 @@ def census(up: UnderlinedPattern, n: int) -> int:
 
     Checks the definition on every one of the n! permutations, without
     ``satisfies``: one bit per permutation, a block of up to 7! of them
-    per big-integer operation.  Refuses to run past ``CENSUS_LIMIT``.
+    per big-integer operation.  This is the one-pattern call of the lane
+    kernel, which ``four_patterns.classify`` calls with all 96 patterns
+    at once.  Refuses to run past ``CENSUS_LIMIT``.
 
     >>> census(parse_pattern("3(5)241"), 4)
     23
@@ -673,7 +675,7 @@ def census(up: UnderlinedPattern, n: int) -> int:
     _within_limit("census", n, CENSUS_LIMIT)
     from ._lanes import census as lane_census  # here, so that commands that never count skip it
 
-    return lane_census(n, up._plan)
+    return lane_census(n, [up._plan])[0]
 
 
 def fast_35241ok(p: Iterable[int]) -> bool:

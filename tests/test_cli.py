@@ -26,6 +26,7 @@ from eigenperm import (
     series,
     verify,
 )
+from eigenperm import _lanes
 from eigenperm.cli import main, run
 
 
@@ -250,7 +251,7 @@ def test_classify4_refuses_depths_past_the_census_limit(capsys, monkeypatch):
         raise AssertionError("classify4 counted past the limit")
 
     monkeypatch.setattr(perms, "census", refuse)
-    monkeypatch.setattr(four_patterns, "census", refuse)
+    monkeypatch.setattr(_lanes, "census", refuse)
     code, out, err = invoke(capsys, "classify4", "--max-n", "11")
     assert code == 3 and out == ""
     # classify checks its own depth before it counts, so the refusal names

@@ -20,7 +20,7 @@ def test_every_module_is_collected():
     assert names >= {
         f"eigenperm.{name}"
         for name in (
-            "bijection", "cli", "four_patterns", "perms", "recurrences", "series",
+            "_lanes", "bijection", "cli", "four_patterns", "perms", "recurrences", "series",
             "textforms", "verify",
         )
     }

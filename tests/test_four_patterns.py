@@ -4,12 +4,14 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
 
 from eigenperm import (
     GENERATORS,
+    ClassificationError,
     InvalidInputError,
     ResourceLimitError,
     SetPartition,
@@ -22,7 +24,6 @@ from eigenperm import (
     classify,
     count_1342ok_by_position,
     format_pattern,
-    four_patterns,
     from_partition_decreasing,
     from_partition_increasing,
     is_avoider,
@@ -36,6 +37,7 @@ from eigenperm import (
     to_partition_increasing,
     wilf_map,
 )
+from eigenperm import _lanes
 from eigenperm.recurrences import catalan_numbers
 
 
@@ -87,7 +89,7 @@ def test_orbits_partition_the_96(pattern_census_table):
 
 
 def test_classify_structure(pattern_census_table):
-    classes = classify(max_n=5)
+    classes = classify(max_n=6)
     assert len(classes) == 16
     assert sum(len(c.members) for c in classes) == 96
     trivial = [c for c in classes if c.trivial]
@@ -100,8 +102,9 @@ def test_classify_structure(pattern_census_table):
     for c in classes:
         assert c.representative in c.members
         assert (c.label == "catalan") == c.trivial
+        # One count tuple per orbit: it must be every member's.
         for up in c.members:
-            assert pattern_census_table[up][:6] == c.counts
+            assert pattern_census_table[up] == c.counts, up
     report = classification_report(classes)
     assert "catalan" in report and "new4" in report and "bell" in report
 
@@ -117,14 +120,32 @@ def test_classify_to_length_9_matches_the_references():
 
 
 def test_classify_respects_census_limit(monkeypatch):
-    # The depth is refused before any counting, through either name of census.
+    # The depth is refused before any counting, through census or the lane
+    # kernel that census and classify call.
     def refuse(*args):
         raise AssertionError("classify counted past the limit")
 
     monkeypatch.setattr(perms, "census", refuse)
-    monkeypatch.setattr(four_patterns, "census", refuse)
+    monkeypatch.setattr(_lanes, "census", refuse)
     with pytest.raises(ResourceLimitError):
         classify(max_n=11)
+
+
+def test_classify_raises_when_one_member_disagrees(monkeypatch):
+    # A kernel that miscounts one pattern at one n must break its orbit.
+    orbit = sorted(pattern_orbit(parse_pattern("32(4)1")), key=lambda u: (u.full, u.mark))
+    rep, target = orbit[0], orbit[-1]
+    count = _lanes.census
+
+    def shifted(n, plans):
+        counts = count(n, plans)
+        if n == 6:
+            counts[plans.index(target._plan)] += 1
+        return counts
+
+    monkeypatch.setattr(_lanes, "census", shifted)
+    with pytest.raises(ClassificationError, match=re.escape(f"orbit of {rep} disagrees at {target}")):
+        classify(max_n=6)
 
 
 def test_three_letter_bases_are_catalan():

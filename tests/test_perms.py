@@ -19,6 +19,7 @@ from eigenperm import (
     SetPartition,
     StarredPermutation,
     UnderlinedPattern,
+    all_underlined4,
     apply_pattern_symmetry,
     apply_symmetry,
     as_perm,
@@ -64,6 +65,7 @@ from eigenperm import (
     window_forward,
     window_plan,
 )
+from eigenperm import _lanes
 from eigenperm.perms import _checked_standard, _lrmax_factors, _tight_bounds
 
 words = st.lists(st.integers(1, 50), max_size=9, unique=True).map(tuple)
@@ -372,8 +374,6 @@ def test_pattern_symmetry_on_marked_pattern():
 
 
 def test_pattern_symmetry_moves_every_marked_4_pattern():
-    from eigenperm import all_underlined4
-
     for up in all_underlined4():
         full, mark = up.full, up.mark
         inverse = tuple(full.index(v) + 1 for v in range(1, 5))
@@ -480,8 +480,6 @@ def test_satisfies_matches_naive_definition_exhaustively():
 
 @given(st.permutations(range(1, 8)).map(tuple), st.sampled_from(range(96)))
 def test_satisfies_matches_naive_definition_sampled(p, idx):
-    from eigenperm import all_underlined4
-
     up = all_underlined4()[idx]
     assert satisfies(p, up) == naive_satisfies(p, up)
 
@@ -513,6 +511,19 @@ def test_census_matches_satisfies_to_length_8(text):
     for n in range(9):
         expected = sum(satisfies(p, up) for p in itertools.permutations(range(1, n + 1)))
         assert census(up, n) == expected, n
+
+
+def test_census_batch_matches_one_plan_calls():
+    # All 96 4-patterns (six bases, 16 boxes each) and bases of length 0,
+    # 2, 4 and 5, in one batch; n = 8 has blocks with a fixed prefix.
+    ups = all_underlined4() + [parse_pattern(t) for t in ("(1)", "1(3)2", "3(5)241", "21(6)534")]
+    plans = [up._plan for up in ups]
+    boxes_by_base = {}
+    for plan in plans:
+        boxes_by_base.setdefault(plan[0], set()).add(plan[1:5])
+    assert sorted(len(b) for b in boxes_by_base.values()) == [1, 1, 1, 1] + [16] * 6
+    for n in range(9):
+        assert _lanes.census(n, plans) == [census(up, n) for up in ups], n
 
 
 def test_single_letter_pattern_means_nonempty():
