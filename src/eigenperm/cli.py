@@ -21,6 +21,7 @@ import argparse
 import signal
 import sys
 from collections.abc import Sequence
+from functools import cache
 from importlib import import_module
 
 from .perms import (
@@ -49,7 +50,7 @@ def _module(name: str):
 # O(n^2)-O(n^3) big-integer operations on operands that grow with n; at its
 # ceiling each runs for at most about 15 s (Python 3.11, 2 vCPUs), "a" about
 # 3.5-4.5 s and "eigen" about 6-7 s.  From n = 160 on, with two CPUs, "a"
-# fills its sum in this process and a helper interpreter at once (see
+# fills its sum in this process and a helper forked from it at once (see
 # recurrences.counts_via_dominance), with the same terms.
 # Routes are looked up at call time, so a patched or traced attribute is the
 # one run.
@@ -182,6 +183,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once: a parser is a web of cycles that only the collector frees.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenperm",

@@ -12,10 +12,11 @@ compositions: one is a pass over non-crossing path pairs, one a convolution.
 
 from __future__ import annotations
 
+import _thread
 import marshal
 import math
 import os
-import sys
+import signal
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Sequence
@@ -159,15 +160,18 @@ def counts_via_dominance(n_max: int) -> list[int]:
     From ``SPLIT_MIN`` on, where at least two CPUs are available, the
     columns are filled in two blocks at once: this process fills the
     columns below 0.85 n_max and streams each row's term and prefix sum to
-    a helper interpreter, which fills the rest and sends back the later
+    a helper forked from it, which fills the rest and sends back the later
     terms.  The terms are the same exact integers on either route; when the
-    helper cannot start or stops early, this process fills every column.
+    helper cannot start or stops early, or another thread is running, this
+    process fills every column.
 
     >>> counts_via_dominance(4)
     [1, 1, 2, 6, 23]
     """
     _checked_size(n_max, "n_max")
-    if n_max >= SPLIT_MIN and sys.executable and _cpu_count() >= 2:
+    # A fork copies only the calling thread, so a lock that another thread
+    # holds would stay locked in the helper.
+    if n_max >= SPLIT_MIN and _thread._count() == 0 and _cpu_count() >= 2:
         a = _split_counts(n_max)
         if a is not None:
             return a
@@ -211,10 +215,11 @@ def _dominance_block(
 
 
 # counts_via_dominance fills two column blocks at once from this n_max on.
-# Starting the helper takes about 45 ms.  Two blocks over one, median
-# time ratio of 11-15 alternating runs (Python 3.11.7, 2 vCPUs): 2.97 at
-# n_max = 80, 1.82 at 100, 1.32 at 120, 0.99 at 130, 0.83 at 150, 0.73 at
-# 160, 0.75 at 190 and 300, 0.68 at 400.
+# Forking the helper and reaping it takes about 2 ms.  Two blocks over one,
+# median time ratio of 15 alternating runs (Python 3.11.7, 2 vCPUs): 1.00
+# at n_max = 80 and 100, 0.80 at 120, 0.79 at 130, 0.76 at 150, 0.77 at
+# 160, 0.73 at 300, 0.75 at 400.  The split would pay from about 120; the
+# threshold stays at 160, so calls up to 150 still run in one process.
 SPLIT_MIN = 160
 
 # The helper's block starts at column m = n_max * SPLIT_PERCENT // 100.  The
@@ -225,18 +230,6 @@ SPLIT_MIN = 160
 # where the caller's block is about half the work.
 SPLIT_PERCENT = 85
 
-# The helper interpreter: isolated (-I: no environment, no user site or
-# current directory on the path) and without site (-S), it imports only
-# this module and perms, never the caller's __main__.  It reads the package
-# root, n_max and the split column from its arguments.
-_HELPER = (
-    "import sys\n"
-    "sys.path.insert(0, sys.argv[1])\n"
-    "from eigenperm.recurrences import _serve_right_block\n"
-    "_serve_right_block(int(sys.argv[2]), int(sys.argv[3]))\n"
-)
-
-
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -244,19 +237,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(stdin, n_max: int, m: int):
-    """The helper, started on columns m..n_max with ``stdin`` as its input."""
-    import subprocess
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    # -I drops PYTHONDONTWRITEBYTECODE with the rest of the environment.
-    flags = ["-I", "-S", "-B"] if sys.dont_write_bytecode else ["-I", "-S"]
-    return subprocess.Popen(
-        [sys.executable, *flags, "-c", _HELPER, root, str(n_max), str(m)],
-        stdin=stdin,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-    )
+def _start_helper(ours, theirs, n_max: int, m: int) -> int:
+    """Fork the helper on columns m..n_max, which talks through ``theirs``; its pid."""
+    pid = os.fork()
+    if pid == 0:
+        # The helper leaves only here, so it never returns into the caller's
+        # frames, flushes the caller's buffers or runs its exit handlers.
+        # Closing ``ours`` leaves it to the caller, whose exit then ends the
+        # helper's input.
+        try:
+            ours.close()
+            _serve_right_block(theirs, n_max, m)
+        finally:
+            os._exit(0)
+    return pid
 
 
 def _split_counts(n_max: int) -> list[int] | None:
@@ -275,31 +269,33 @@ def _split_counts(n_max: int) -> list[int] | None:
         ours, theirs = socket.socketpair()
     except OSError:
         return None
-    proc = None
+    pid = None
     with ours:
         try:
-            proc = _start_helper(theirs, n_max, m)
+            pid = _start_helper(ours, theirs, n_max, m)
             # Once the helper holds the only other end, its exit makes our
             # next write fail instead of filling the buffer.
             theirs.close()
             a = _dominance_block(1, m - 1, send=lambda *row: ours.sendall(marshal.dumps(row), flags))
-            tail = marshal.load(proc.stdout)
+            with ours.makefile("rb") as replies:
+                tail = marshal.load(replies)
         except (OSError, EOFError, ValueError):  # no helper, or it stopped
             return None
         finally:
             theirs.close()
-            if proc is not None:
-                proc.kill()
-                proc.wait()
-                proc.stdout.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return a + tail
 
 
-def _serve_right_block(n_max: int, m: int) -> None:
-    """The helper's side: rows 1..n_max over columns m..n_max, from stdin."""
-    rows, out = sys.stdin.buffer, sys.stdout.buffer
-    a = _dominance_block(m, n_max, receive=lambda: marshal.load(rows))
-    marshal.dump(a[m:], out)
+def _serve_right_block(theirs, n_max: int, m: int) -> None:
+    """The helper's side: rows 1..n_max over columns m..n_max, from ``theirs``."""
+    with theirs.makefile("rb") as rows:
+        a = _dominance_block(m, n_max, receive=lambda: marshal.load(rows))
+    # A caller that has gone by now ends the helper, by SIGPIPE or by
+    # BrokenPipeError, and nothing reads the terms.
+    theirs.sendall(marshal.dumps(a[m:]))
 
 
 def catalan_via_compositions(n_max: int) -> list[int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -420,6 +421,17 @@ def test_unknown_flag_exits_nonzero(capsys):
         run(["seq", "eigen", "--n", "3", "--frobnicate"])
     assert exc.value.code == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_a_repeated_command_leaves_no_cyclic_garbage(capsys):
+    # The parser is built once, so a call frees what it made without the
+    # collector.
+    argv = ["count", "--pattern", "3(5)241", "--n", "4"]
+    assert run(argv) == 0
+    gc.collect()
+    assert run(argv) == 0
+    assert gc.collect() == 0
+    assert capsys.readouterr().out == "23\n23\n"
 
 
 def test_main_wraps_run(capsys):

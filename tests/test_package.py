@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import marshal
 import os
 import pkgutil
-import shutil
 import subprocess
 import sys
 
@@ -95,7 +93,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     assert set(loaded.split()) == {"eigenperm"} | {f"eigenperm.{m}" for m in modules | {"cli", "perms"}}
 
 
-# counts_via_dominance's helper interpreter.
+# counts_via_dominance's helper, forked from the caller.
 
 
 def test_importing_recurrences_starts_no_process():
@@ -107,41 +105,57 @@ def test_importing_recurrences_starts_no_process():
     assert fresh(code) == ["no child", "False False"]
 
 
-def test_the_helper_loads_only_perms_and_recurrences():
-    # The helper's own code, on the rows of a left block [1, 2], with a line
-    # that names what it loaded; it runs as counts_via_dominance starts it.
-    rows = []
-    recurrences._dominance_block(1, 2, send=lambda *row: rows.append(marshal.dumps(row)))
-    code = recurrences._HELPER + "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'eigenperm'), file=sys.stderr)"
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code, SRC, "5", "3"], input=b"".join(rows), capture_output=True, check=True
+def test_the_split_route_forks_one_helper_and_reaps_it():
+    code = (
+        "import os, sys; from eigenperm import recurrences\n"
+        "recurrences._cpu_count = lambda: 2\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "n = recurrences.SPLIT_MIN\n"
+        "print(recurrences.counts_via_dominance(n) == list(recurrences.recurrence_tables(n).a))\n"
+        "print('subprocess' in sys.modules, len(forks))\n"
+        "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    print('no child')\n"
     )
-    assert marshal.loads(proc.stdout) == list(recurrences.recurrence_tables(5).a[3:])
-    assert proc.stderr.decode().split() == ["eigenperm", "eigenperm.perms", "eigenperm.recurrences"]
+    assert fresh(code) == ["True", "False 1", "no child"]
+
+
+# Helpers that send the terms, and that raise at once.
+SERVES = ["", "def fail(*args):\n    raise RuntimeError('helper failed')\nrecurrences._serve_right_block = fail\n"]
 
 
 def test_a_script_without_a_main_guard_runs_once(tmp_path):
-    # The helper never imports the caller's __main__, as a spawned
-    # multiprocessing worker would: the script's top level runs once.  Run
-    # with -B, from a copy of the package, it leaves no bytecode there.
-    src = tmp_path / "src"
-    shutil.copytree(os.path.dirname(eigenperm.__file__), src / "eigenperm", ignore=shutil.ignore_patterns("__pycache__"))
+    # The helper never runs the caller's code again, as a spawned
+    # multiprocessing worker would run a script's top level, nor flushes
+    # the caller's buffers: each line printed before or after the call,
+    # held in the buffer of a piped stdout, appears once, whether the
+    # helper sends the terms or raises at once.  The caller kills the
+    # helper only once it has exited, so a helper that went on would print
+    # its copy of the buffer; in a session of its own, a kill of the
+    # process group ends only the script.
     script = tmp_path / "script.py"
-    script.write_text(
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "print('marker', flush=True)\n"
-        "from eigenperm import recurrences\n"
-        "recurrences._cpu_count = lambda: 2\n"
-        "start, started = recurrences._start_helper, []\n"
-        "recurrences._start_helper = lambda *args: started.append(start(*args)) or started[-1]\n"
-        "n = recurrences.SPLIT_MIN\n"
-        "print(recurrences.counts_via_dominance(n) == list(recurrences.recurrence_tables(n).a), len(started))\n"
-    )
-    proc = subprocess.run([sys.executable, "-B", str(script)], capture_output=True, text=True, check=True)
-    assert proc.stdout.count("marker") == 1
-    assert proc.stdout.splitlines()[-1] == "True 1"
-    assert not list(src.rglob("__pycache__"))
+    for serve in SERVES:
+        script.write_text(
+            "import os, sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "print('before')\n"
+            "from eigenperm import recurrences\n"
+            "recurrences._cpu_count = lambda: 2\n"
+            + serve
+            + "start, started = recurrences._start_helper, []\n"
+            "recurrences._start_helper = lambda *args: started.append(start(*args)) or started[-1]\n"
+            "kill = os.kill\n"
+            "def kill_after_exit(pid, sig):\n"
+            "    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)\n"
+            "    kill(pid, sig)\n"
+            "os.kill = kill_after_exit\n"
+            "n = recurrences.SPLIT_MIN\n"
+            "print(recurrences.counts_via_dominance(n) == list(recurrences.recurrence_tables(n).a), len(started))\n"
+            "print('after')\n"
+        )
+        # -E: the piped stdout stays block-buffered whatever PYTHONUNBUFFERED says.
+        argv = [sys.executable, "-E", "-B", str(script)]
+        proc = subprocess.run(argv, capture_output=True, text=True, start_new_session=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\nTrue 1\nafter\n", ""), serve
 
 
 # The package namespace loads on first use, all at once.

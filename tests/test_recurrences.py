@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -189,7 +190,7 @@ def test_two_column_blocks_give_the_tables_at_every_split():
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """The helpers the split route starts, with two CPUs reported."""
+    """The pids of the helpers the split route forks, with two CPUs reported."""
     started = []
     start = recurrences._start_helper
 
@@ -202,11 +203,10 @@ def helpers(monkeypatch):
     return started
 
 
-def assert_reaped(procs):
-    for proc in procs:
-        assert proc.returncode is not None
+def assert_reaped(pids):
+    for pid in pids:
         with pytest.raises(ChildProcessError):
-            os.waitpid(proc.pid, os.WNOHANG)
+            os.waitpid(pid, os.WNOHANG)
 
 
 def refuse(*args):
@@ -235,19 +235,31 @@ def test_the_helper_route_gives_the_one_process_terms(monkeypatch, helpers):
 
 
 def test_a_helper_that_cannot_start_leaves_the_work_here(monkeypatch):
-    def fail(*args):
-        raise OSError("no interpreter")
+    def fail():
+        raise OSError("no fork")
 
     monkeypatch.setattr(recurrences, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(recurrences, "_start_helper", fail)
+    monkeypatch.setattr(os, "fork", fail)
     n = recurrences.SPLIT_MIN
     start = time.perf_counter()
     assert counts_via_dominance(n) == list(recurrence_tables(n).a)
     assert time.perf_counter() - start < 30
-    # Without an interpreter to start, none is tried.
+
+
+def test_a_running_thread_keeps_the_work_here(monkeypatch):
+    # A fork copies only the calling thread: while another runs, none is tried.
+    monkeypatch.setattr(recurrences, "_cpu_count", lambda: 2)
     monkeypatch.setattr(recurrences, "_start_helper", refuse)
-    monkeypatch.setattr(recurrences.sys, "executable", "")
-    assert counts_via_dominance(n)[-1] == recurrence_tables(n).a[-1]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        n = recurrences.SPLIT_MIN
+        assert counts_via_dominance(n) == list(recurrence_tables(n).a)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
 
 
 def test_the_cpu_probe_reads_the_affinity_mask_then_the_cpu_count(monkeypatch):
@@ -260,9 +272,13 @@ def test_the_cpu_probe_reads_the_affinity_mask_then_the_cpu_count(monkeypatch):
     assert recurrences._cpu_count() == 1
 
 
-@pytest.mark.parametrize("code", ["pass", "raise RuntimeError('helper failed')"], ids=["exits", "raises"])
-def test_a_helper_that_exits_at_once_leaves_the_work_here(monkeypatch, helpers, capfd, code):
-    monkeypatch.setattr(recurrences, "_HELPER", code)
+def fail_in_helper(*args):
+    raise RuntimeError("helper failed")
+
+
+@pytest.mark.parametrize("serve", [lambda *args: None, fail_in_helper], ids=["exits", "raises"])
+def test_a_helper_that_exits_at_once_leaves_the_work_here(monkeypatch, helpers, capfd, serve):
+    monkeypatch.setattr(recurrences, "_serve_right_block", serve)
     n = recurrences.SPLIT_MIN
     start = time.perf_counter()
     assert counts_via_dominance(n) == list(recurrence_tables(n).a)
